@@ -11,8 +11,8 @@ factor splitting, and the combinatorial Cox construction.
 from .classification import ConeClassification, Verdict, classify, classify_cone, \
     is_regular, is_simplicial, is_vivid, simplicial_multiset
 from .cones import BOUNDARY, OUTSIDE, RELATIVE_INTERIOR, Cone, \
-    cone_from_generators, contains, faces, intersect, is_face_of, primitive, \
-    zero_cone
+    cone_from_generators, contains, extreme_rays, faces, intersect, is_face_of, \
+    primitive, zero_cone
 from .cox import CoxConsistency, CoxData, TorusSplit, cox_consistency, \
     cox_construct, has_torus_factors, torus_split
 from .document import FanDocument, build, parse, render
@@ -36,7 +36,7 @@ __all__ = [
     "affine_local", "build", "classify", "classify_cone", "cokernel_structure",
     "coloured_face", "coloured_rays", "cone_from_generators",
     "connected_component", "contains", "cox_consistency", "cox_construct",
-    "decolour", "extends_to_Z_basis", "faces", "has_torus_factors",
+    "decolour", "extends_to_Z_basis", "extreme_rays", "faces", "has_torus_factors",
     "intersect", "is_face_of", "is_linearly_independent",
     "is_projective_space_product", "is_regular", "is_simplicial", "is_vivid",
     "parse", "primitive", "rank_of", "recognize_type", "render", "saturate",

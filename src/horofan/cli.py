@@ -30,6 +30,7 @@ from . import local as localmod
 from .classification import ConeClassification, Verdict, classify, is_vivid
 from .errors import HorofanError, ParseError, PreconditionError, ValidationError
 from .fans import ColouredFan
+from .lattice import FGAbelianGroup
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -177,10 +178,8 @@ def render_text(report: dict) -> str:
         for row in report["mu"]:
             lines.append(f"  {row}")
         g = report["class_group"]
-        parts = (["Z"] if g["free_rank"] == 1 else
-                 [f"Z^{g['free_rank']}"] if g["free_rank"] else [])
-        parts += [f"Z/{d}" for d in g["torsion"]]
-        lines.append("class group: " + (" x ".join(parts) if parts else "0"))
+        group = FGAbelianGroup(g["free_rank"], tuple(g["torsion"]))
+        lines.append(f"class group: {group}")
         lines.append(f"quotient torus rank: {report['k_hat_rank']}")
         lines.append(f"lifted fan regular: "
                      f"{'yes' if report['cox_fan']['regular'] else 'no'}, "
@@ -233,13 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error[IO]: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
     def fail(exc: HorofanError, exit_code: int) -> int:
         if args.format == "machine":
             payload = {"error": {"code": exc.code, "message": str(exc)}}
@@ -252,6 +244,16 @@ def main(argv=None) -> int:
                 if isinstance(exc, ParseError) and exc.line is not None else ""
             print(f"error[{exc.code}]: {exc}{where}", file=sys.stderr)
         return exit_code
+
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        print(f"error[IO]: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except UnicodeDecodeError as exc:
+        return fail(ParseError(f"file is not UTF-8: {exc.reason} at byte "
+                               f"{exc.start}"), EXIT_PARSE)
 
     try:
         doc = docmod.parse(text)

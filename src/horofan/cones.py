@@ -5,18 +5,20 @@ that cut it out inside its linear span:
 
     sigma = {x : <n, x> >= 0 for every facet normal n}  intersect  span(rays)
 
-All arithmetic is integral.  Facets are found by enumerating (d-1)-subsets
-of the generators inside span coordinates, which is perfectly adequate at
-desk scale (ambient rank up to ~8, a dozen rays) and easy to cross-check
-against brute force.  Cones are canonical: rays and normals are primitive
-and lexicographically sorted, and equality is equality of ray sets.
+All arithmetic is integral.  One double-description routine,
+`extreme_rays`, converts between the two descriptions: it turns a halfspace
+system into extreme rays (used by `intersect`), and, applied to the dual
+system {y : <y, g> >= 0} in coordinates of the generators' span, it turns
+generators into facet normals.  Faces are the intersections of facets,
+found as the closure of the facets' ray sets under intersection.  Cones are
+canonical: rays and normals are primitive and lexicographically sorted, and
+equality is equality of ray sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from . import lattice
 from .errors import DimensionMismatch, NotStronglyConvex, ZeroVector
@@ -65,12 +67,11 @@ def primitive(v) -> Vec:
 def _span_coordinates(prims: Mat, ambient_rank: int) -> tuple[Mat, Mat]:
     """Coordinates of the generators in a saturated basis of their span.
 
-    Returns (coords, Binv) where Binv is the inverse of the unimodular
-    extension of the span basis: x in span has coordinates (x @ Binv)[:d].
+    Returns (coords, Binv) where x in the span has coordinates
+    (x @ Binv)[:d], d being the dimension of the span.
     """
-    _, ext = lattice.saturation_with_extension(prims, ambient_rank)
-    Binv = lattice.unimodular_inverse(ext)
-    d = rank_of(prims)
+    basis, Binv = lattice.saturation_with_extension(prims, ambient_rank)
+    d = len(basis)
     coords = []
     for g in prims:
         full = lattice.vec_mat(g, Binv)
@@ -78,27 +79,6 @@ def _span_coordinates(prims: Mat, ambient_rank: int) -> tuple[Mat, Mat]:
             raise AssertionError("generator not in the saturated span")
         coords.append(full[:d])
     return tuple(coords), Binv
-
-
-def _facet_normals(coords: Mat, d: int) -> list[Vec]:
-    """Facet normals of cone(coords) in R^d, full-dimensional by assumption."""
-    normals: set[Vec] = set()
-    for subset in combinations(range(len(coords)), d - 1):
-        M = [coords[i] for i in subset]
-        if rank_of(M) != d - 1:
-            continue
-        K = lattice.kernel_basis(M, d)
-        if len(K) != 1:
-            continue
-        n = primitive(K[0])
-        dots = [dot(n, c) for c in coords]
-        if all(x <= 0 for x in dots):
-            n, dots = negate(n), [-x for x in dots]
-        elif not all(x >= 0 for x in dots):
-            continue
-        if rank_of([coords[i] for i, x in enumerate(dots) if x == 0]) == d - 1:
-            normals.add(n)
-    return sorted(normals)
 
 
 def cone_from_generators(gens, ambient_rank: int) -> Cone:
@@ -116,9 +96,11 @@ def cone_from_generators(gens, ambient_rank: int) -> Cone:
     if not prims:
         return zero_cone(ambient_rank)
 
-    d = rank_of(prims)
     coords, Binv = _span_coordinates(prims, ambient_rank)
-    normals_d = _facet_normals(coords, d)
+    d = len(coords[0])
+    # the facet normals are the extreme rays of the dual cone; it is
+    # full-dimensional exactly when the cone contains no line
+    normals_d = extreme_rays(coords, d)
     if rank_of(normals_d) != d:
         raise NotStronglyConvex("the generators span a cone containing a line")
 
@@ -153,20 +135,26 @@ def contains(c: Cone, v) -> str:
 def faces(c: Cone) -> tuple[Cone, ...]:
     """Every face of c, including the zero cone and c itself.
 
-    Faces are intersections of c with supporting hyperplanes taken from
-    subsets of the facet normals; deduplicated by ray set.
+    Every face is an intersection of facets, so the ray sets of the faces
+    are the closure of the facets' ray sets under intersection (c itself is
+    the empty intersection).  Sorted by (dim, rays).
     """
     if not c.rays:
         return (c,)
-    seen: dict[Mat, Cone] = {}
-    for k in range(len(c.facet_normals) + 1):
-        for subset in combinations(c.facet_normals, k):
-            sel = tuple(r for r in c.rays
-                        if all(dot(n, r) == 0 for n in subset))
-            if sel not in seen:
-                seen[sel] = cone_from_generators(sel, c.ambient_rank) if sel \
-                    else zero_cone(c.ambient_rank)
-    return tuple(sorted(seen.values(), key=lambda f: (f.dim, f.rays)))
+    facets = [frozenset(r for r in c.rays if dot(n, r) == 0)
+              for n in c.facet_normals]
+    seen = {c.rays}
+    todo = [c.rays]
+    while todo:
+        sel = todo.pop()
+        for facet in facets:
+            sub = tuple(r for r in sel if r in facet)
+            if sub not in seen:
+                seen.add(sub)
+                todo.append(sub)
+    out = [cone_from_generators(sel, c.ambient_rank) if sel
+           else zero_cone(c.ambient_rank) for sel in seen]
+    return tuple(sorted(out, key=lambda f: (f.dim, f.rays)))
 
 
 def is_face_of(t: Cone, c: Cone) -> bool:
@@ -178,13 +166,15 @@ def is_face_of(t: Cone, c: Cone) -> bool:
     return t in faces(c)
 
 
-def _hrep_extreme_rays(rows: list[Vec], k: int) -> list[Vec]:
-    """Extreme rays of the pointed cone {x in R^k : row @ x >= 0 for all rows}.
+def extreme_rays(rows, k: int) -> list[Vec]:
+    """Primitive extreme rays, sorted, of {x in R^k : row @ x >= 0 for all rows}.
 
-    Incremental double description: start from a simplicial subsystem of
-    full rank and insert the remaining halfspaces one at a time, combining
-    adjacent positive/negative rays.  The rows must have rank k (that is
-    exactly pointedness of the cone).
+    Incremental double description (Fukuda & Prodon 1996): start from a
+    simplicial subsystem of full rank and insert the remaining halfspaces
+    one at a time, combining positive/negative rays that pass the algebraic
+    adjacency test.  The rows must have rank k (that is exactly pointedness
+    of the cone).  Applied to the generators of a full-dimensional cone as
+    rows, it returns the dual cone's extreme rays: the facet normals.
     """
     if k == 0:
         return []
@@ -251,6 +241,6 @@ def intersect(a: Cone, b: Cone) -> Cone:
         t = tuple(dot(nv, w) for w in W)
         if any(t) and t not in rows:
             rows.append(t)
-    rays_w = _hrep_extreme_rays(rows, k)
+    rays_w = extreme_rays(rows, k)
     rays_amb = [lattice.vec_mat(r, W) for r in rays_w]
     return cone_from_generators(rays_amb, n)

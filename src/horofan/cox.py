@@ -51,9 +51,8 @@ def torus_split(fan: ColouredFan) -> TorusSplit:
     L = fan.lattice
     points = [m.cone.rays[0] for m in fan.ray_members()]
     points += list(L.colour_points)
-    basis, ext = lattice.saturation_with_extension(points, L.rank)
+    basis, binv = lattice.saturation_with_extension(points, L.rank)
     d = len(basis)
-    binv = lattice.unimodular_inverse(ext)
 
     def coords(v: Vec) -> Vec:
         full = lattice.vec_mat(v, binv)
@@ -76,7 +75,11 @@ def torus_split(fan: ColouredFan) -> TorusSplit:
 
 
 def has_torus_factors(fan: ColouredFan) -> bool:
-    return torus_split(fan).quotient_rank > 0
+    """True iff the rays and colour points do not span the lattice, that is
+    iff `torus_split(fan).quotient_rank > 0`."""
+    L = fan.lattice
+    rays = {r for m in fan.cones for r in m.cone.rays}
+    return lattice.rank_of(list(rays) + list(L.colour_points)) < L.rank
 
 
 def cox_basis_index(fan: ColouredFan) -> tuple[BasisTag, ...]:

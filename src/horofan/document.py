@@ -92,6 +92,9 @@ def parse(text: str) -> FanDocument:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
+    except (ValueError, RecursionError) as exc:
+        # integers beyond Python's int-string limit, or nesting too deep
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("document must be a JSON object")
 
@@ -196,15 +199,13 @@ def build(doc: FanDocument) -> tuple[dk.DynkinData, ColouredLattice, ColouredFan
     return diagram, lattice_, validate_fan(lattice_, members)
 
 
-def document_for_fan(doc: FanDocument, fan: ColouredFan,
-                     lattice_rank: int | None = None) -> FanDocument:
+def document_for_fan(doc: FanDocument, fan: ColouredFan) -> FanDocument:
     """A document describing `fan` with the group data of `doc`.
 
     Used to re-emit the results of `decolour` and `split` in a form the
     tool accepts back.  Only the maximal cones are listed.
     """
     L = fan.lattice
-    rank = L.rank if lattice_rank is None else lattice_rank
     cones = tuple(
         (m.cone.rays, tuple(sorted(m.colours, key=L.colour_order)))
         for m in fan.maximal_cones())
@@ -212,7 +213,7 @@ def document_for_fan(doc: FanDocument, fan: ColouredFan,
         components=doc.components,
         torus_rank=doc.torus_rank,
         parabolic=doc.parabolic,
-        lattice_rank=rank,
+        lattice_rank=L.rank,
         colour_points=tuple((a, L.xi(a)) for a in L.colours),
         cones=cones,
     )

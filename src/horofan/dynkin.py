@@ -72,10 +72,6 @@ class TypeLabel:
     rank: int
     nodes_by_index: tuple[str, ...]  # position i holds the node numbered i+1
 
-    @property
-    def numbering(self) -> dict[str, int]:
-        return {v: i + 1 for i, v in enumerate(self.nodes_by_index)}
-
 
 def validate_diagram(nodes, edges, parabolic=(), torus_rank: int = 0) -> DynkinData:
     """Build a DynkinData, rejecting anything outside the A-G classification."""

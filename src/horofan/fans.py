@@ -121,10 +121,11 @@ def coloured_rays(sc: ColouredCone, L: ColouredLattice
     non_coloured = []
     coloured = []
     for r in sc.cone.rays:
-        ray = pc.cone_from_generators([r], sc.cone.ambient_rank)
-        cf = coloured_face(sc, ray, L)
-        if cf.colours:
-            coloured.append((r, cf.colours))
+        # a colour lies on the ray iff its point is a nonnegative multiple of r
+        on_ray = frozenset(a for a in sc.colours
+                           if not any(L.xi(a)) or pc.primitive(L.xi(a)) == r)
+        if on_ray:
+            coloured.append((r, on_ray))
         else:
             non_coloured.append(r)
     return tuple(non_coloured), tuple(coloured)

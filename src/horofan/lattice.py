@@ -132,70 +132,64 @@ def determinant(A: Mat) -> int:
 
 
 class _SnfState:
-    """Mutable D = U @ A @ V with the four transforms tracked as lists."""
+    """Mutable D = U @ A @ V, tracking only the requested transforms.
 
-    def __init__(self, A: Mat, nrows: int, ncols: int):
-        self.nrows = nrows
-        self.ncols = ncols
+    U, V and Vinv are lists of rows, or None when the caller does not read
+    them.  Row operations update D and U; column operations update D, V and
+    (by the inverse row operation) Vinv, preserving U @ A @ V == D and
+    V @ Vinv == I.
+    """
+
+    def __init__(self, A: Mat, nrows: int, ncols: int,
+                 u: bool, v: bool, vinv: bool):
         self.D = [list(row) for row in A]
-        self.U = [list(r) for r in identity(nrows)]
-        self.Uinv = [list(r) for r in identity(nrows)]
-        self.V = [list(r) for r in identity(ncols)]
-        self.Vinv = [list(r) for r in identity(ncols)]
-
-    # Each elementary operation updates D together with U (and the inverse
-    # column operation on Uinv) or V (and the inverse row operation on Vinv),
-    # preserving U @ A @ V == D, U @ Uinv == I, V @ Vinv == I.
+        self.U = [list(r) for r in identity(nrows)] if u else None
+        self.V = [list(r) for r in identity(ncols)] if v else None
+        self.Vinv = [list(r) for r in identity(ncols)] if vinv else None
 
     def row_swap(self, i: int, j: int) -> None:
-        self.D[i], self.D[j] = self.D[j], self.D[i]
-        self.U[i], self.U[j] = self.U[j], self.U[i]
-        for r in self.Uinv:
-            r[i], r[j] = r[j], r[i]
+        for M in (self.D, self.U):
+            if M is not None:
+                M[i], M[j] = M[j], M[i]
 
     def row_negate(self, i: int) -> None:
-        self.D[i] = [-x for x in self.D[i]]
-        self.U[i] = [-x for x in self.U[i]]
-        for r in self.Uinv:
-            r[i] = -r[i]
+        for M in (self.D, self.U):
+            if M is not None:
+                M[i] = [-x for x in M[i]]
 
     def row_addmul(self, i: int, j: int, q: int) -> None:
         """row_i += q * row_j"""
-        self.D[i] = [a + q * b for a, b in zip(self.D[i], self.D[j])]
-        self.U[i] = [a + q * b for a, b in zip(self.U[i], self.U[j])]
-        for r in self.Uinv:
-            r[j] -= q * r[i]
+        for M in (self.D, self.U):
+            if M is not None:
+                M[i] = [a + q * b for a, b in zip(M[i], M[j])]
 
     def col_swap(self, i: int, j: int) -> None:
-        for r in self.D:
-            r[i], r[j] = r[j], r[i]
-        for r in self.V:
-            r[i], r[j] = r[j], r[i]
-        self.Vinv[i], self.Vinv[j] = self.Vinv[j], self.Vinv[i]
-
-    def col_negate(self, j: int) -> None:
-        for r in self.D:
-            r[j] = -r[j]
-        for r in self.V:
-            r[j] = -r[j]
-        self.Vinv[j] = [-x for x in self.Vinv[j]]
+        for M in (self.D, self.V):
+            if M is not None:
+                for r in M:
+                    r[i], r[j] = r[j], r[i]
+        if self.Vinv is not None:
+            self.Vinv[i], self.Vinv[j] = self.Vinv[j], self.Vinv[i]
 
     def col_addmul(self, j: int, k: int, q: int) -> None:
         """col_j += q * col_k"""
-        for r in self.D:
-            r[j] += q * r[k]
-        for r in self.V:
-            r[j] += q * r[k]
-        self.Vinv[k] = [a - q * b for a, b in zip(self.Vinv[k], self.Vinv[j])]
+        for M in (self.D, self.V):
+            if M is not None:
+                for r in M:
+                    r[j] += q * r[k]
+        if self.Vinv is not None:
+            self.Vinv[k] = [a - q * b for a, b in zip(self.Vinv[k], self.Vinv[j])]
 
 
-def _snf(A: Mat, nrows: int, ncols: int) -> tuple[Mat, Mat, Mat, Mat, Mat]:
-    """Return (U, D, V, Uinv, Vinv) with U @ A @ V == D in Smith normal form.
+def _snf(A: Mat, nrows: int, ncols: int, *, u: bool = False, v: bool = False,
+         vinv: bool = False) -> tuple[Mat | None, Mat, Mat | None, Mat | None]:
+    """Return (U, D, V, Vinv) with U @ A @ V == D in Smith normal form.
 
+    U, V and Vinv = V^-1 are computed only when asked for, else None.
     Deterministic: the pivot is the minimal-absolute-value nonzero entry of
     the remaining block, ties broken in row-major order.
     """
-    s = _SnfState(A, nrows, ncols)
+    s = _SnfState(A, nrows, ncols, u, v, vinv)
     D = s.D
 
     def clear(t: int) -> None:
@@ -248,8 +242,9 @@ def _snf(A: Mat, nrows: int, ncols: int) -> tuple[Mat, Mat, Mat, Mat, Mat]:
         if D[t][t] < 0:
             s.row_negate(t)
 
-    frz = freeze_matrix
-    return frz(s.U), frz(s.D), frz(s.V), frz(s.Uinv), frz(s.Vinv)
+    def frz(M):
+        return None if M is None else freeze_matrix(M)
+    return frz(s.U), freeze_matrix(s.D), frz(s.V), frz(s.Vinv)
 
 
 def smith_normal_form(A) -> tuple[Mat, Mat, Mat]:
@@ -261,7 +256,7 @@ def smith_normal_form(A) -> tuple[Mat, Mat, Mat]:
     A = freeze_matrix(A)
     nrows = len(A)
     ncols = _check_rectangular([list(r) for r in A])
-    U, D, V, _, _ = _snf(A, nrows, ncols)
+    U, D, V, _ = _snf(A, nrows, ncols, u=True, v=True)
     return U, D, V
 
 
@@ -285,11 +280,14 @@ def extends_to_Z_basis(vs, ambient_rank: int) -> bool:
 
 
 def saturation_with_extension(vs, ncols: int | None = None) -> tuple[Mat, Mat]:
-    """Basis of the saturation of the row span, plus its extension.
+    """Basis of the saturation of the row span, plus coordinates in it.
 
-    Returns (B, Bext) where the rows of B are a Z-basis of
-    span_Q(vs) ∩ Z^n and Bext is a unimodular matrix whose first len(B)
-    rows are B.  `ncols` is required when vs is empty.
+    Returns (B, Binv) where the rows of B are a Z-basis of
+    span_Q(vs) ∩ Z^n, and Binv is the inverse of a unimodular matrix whose
+    first len(B) rows are B: a vector x of the span has coordinates
+    (x @ Binv)[:len(B)] in the basis B, and the remaining entries of
+    x @ Binv vanish exactly on the span.  `ncols` is required when vs is
+    empty.
     """
     vs = freeze_matrix(vs)
     if vs:
@@ -300,9 +298,9 @@ def saturation_with_extension(vs, ncols: int | None = None) -> tuple[Mat, Mat]:
         n = ncols
     if ncols is not None and vs and n != ncols:
         raise DimensionMismatch("ambient rank disagrees with vector length")
-    _, D, _, _, Vinv = _snf(vs, len(vs), n)
+    _, D, V, Vinv = _snf(vs, len(vs), n, v=True, vinv=True)
     r = sum(1 for i in range(min(len(vs), n)) if D[i][i])
-    return Vinv[:r], Vinv
+    return Vinv[:r], V
 
 
 def saturate(vs, ncols: int | None = None) -> Mat:
@@ -316,7 +314,7 @@ def kernel_basis(A, ncols: int) -> Mat:
     for row in A:
         if len(row) != ncols:
             raise DimensionMismatch("kernel of a matrix with inconsistent row length")
-    _, D, V, _, _ = _snf(A, len(A), ncols)
+    _, D, V, _ = _snf(A, len(A), ncols, v=True)
     r = sum(1 for i in range(min(len(A), ncols)) if D[i][i])
     return tuple(tuple(V[i][j] for i in range(ncols)) for j in range(r, ncols))
 
@@ -332,7 +330,7 @@ def solve_left(B, g, ncols: int | None = None) -> Vec | None:
     if len(g) != n:
         raise DimensionMismatch("right-hand side has the wrong length")
     m = len(B)
-    U, D, V, _, _ = _snf(B, m, n)
+    U, D, V, _ = _snf(B, m, n, u=True, v=True)
     z = vec_mat(g, V)
     r = sum(1 for i in range(min(m, n)) if D[i][i])
     if any(z[j] for j in range(r, n)):
@@ -343,17 +341,6 @@ def solve_left(B, g, ncols: int | None = None) -> Vec | None:
             return None
         y[i] = z[i] // D[i][i]
     return vec_mat(tuple(y), U)
-
-
-def unimodular_inverse(M: Mat) -> Mat:
-    """Exact inverse of a unimodular integer matrix."""
-    M = freeze_matrix(M)
-    n = len(M)
-    U, D, V, _, _ = _snf(M, n, n)
-    if any(D[i][i] != 1 for i in range(n)):
-        raise ValueError("matrix is not unimodular")
-    # U M V = I  =>  M^{-1} = V U
-    return mat_mul(V, U)
 
 
 def vector_gcd(v: Vec) -> int:
@@ -403,7 +390,7 @@ def cokernel_structure(A) -> FGAbelianGroup:
     A = freeze_matrix(A)
     nrows = len(A)
     ncols = _check_rectangular([list(r) for r in A])
-    _, D, _, _, _ = _snf(A, nrows, ncols)
+    _, D, _, _ = _snf(A, nrows, ncols)
     diag = [D[i][i] for i in range(min(nrows, ncols)) if D[i][i]]
     return FGAbelianGroup(free_rank=nrows - len(diag),
                           torsion=tuple(d for d in diag if d > 1))

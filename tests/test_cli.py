@@ -1,6 +1,7 @@
 import json
 import pathlib
 
+import pytest
 
 from horofan import cli
 
@@ -135,3 +136,57 @@ def test_text_format(capsys):
     assert code == 0
     assert "verdict:" in out
     assert "smooth" in out
+
+
+# (document, command line) of every golden whose machine output is frozen in
+# bench/data/golden_out/<document>.<verb>.out
+GOLDEN_COMMANDS = [
+    ("a3_colour_line", ["classify"]), ("a3_colour_line", ["cox"]),
+    ("a3_colour_line", ["local", "--cone", "1"]),
+    ("a3_colour_line", ["decolour", "--keep", ""]),
+    ("p2", ["classify"]), ("p2", ["cox"]),
+    ("quadric_cone", ["classify"]), ("quadric_cone", ["cox"]),
+    ("p112", ["classify"]), ("p112", ["cox"]),
+    ("ray_with_torus_factor", ["classify"]),
+    ("ray_with_torus_factor", ["split"]),
+]
+FROZEN = pathlib.Path(__file__).parent.parent / "bench" / "data" / "golden_out"
+
+
+@pytest.mark.parametrize("name,command", GOLDEN_COMMANDS,
+                         ids=[f"{n}.{c[0]}" for n, c in GOLDEN_COMMANDS])
+def test_golden_machine_bytes(capsys, name, command):
+    verb, *extra = command
+    code, out, _ = run_cli(capsys, verb, GOLDENS / f"{name}.json", *extra,
+                           "--format", "machine")
+    assert code == 0
+    assert out.encode() == (FROZEN / f"{name}.{verb}.out").read_bytes()
+
+
+def test_golden_commands_cover_frozen_outputs():
+    frozen = {p.name for p in FROZEN.glob("*.out")}
+    assert frozen == {f"{n}.{c[0]}.out" for n, c in GOLDEN_COMMANDS}
+
+
+def _assert_parse_error(capsys, path):
+    code, rep, _ = machine(capsys, "classify", path)
+    assert code == cli.EXIT_PARSE
+    assert rep["error"]["code"] == "ParseError"
+
+
+def test_parse_error_huge_integer(tmp_path, capsys):
+    doc = tmp_path / "huge.json"
+    doc.write_text('{"lattice_rank": ' + "9" * 5000 + "}")
+    _assert_parse_error(capsys, doc)
+
+
+def test_parse_error_not_utf8(tmp_path, capsys):
+    doc = tmp_path / "latin1.json"
+    doc.write_bytes(b'{"group": "\xe9"}')
+    _assert_parse_error(capsys, doc)
+
+
+def test_parse_error_deep_nesting(tmp_path, capsys):
+    doc = tmp_path / "nested.json"
+    doc.write_text("[" * 100000)
+    _assert_parse_error(capsys, doc)

@@ -182,3 +182,20 @@ def test_membership_property(gens):
         assert pc.contains(c, g) != pc.OUTSIDE
     s = tuple(sum(g[i] for g in gens) for i in range(3))
     assert pc.contains(c, s) != pc.OUTSIDE
+
+
+def test_cyclic_cone_faces():
+    # rank-6 cyclic cone: rays (1, t, ..., t^5) on the moment curve, t = 0..9
+    c = pc.cone_from_generators([[t ** i for i in range(6)] for t in range(10)], 6)
+    assert len(c.rays) == 10
+    assert len(pc.faces(c)) == 304
+
+
+def test_extreme_rays_of_halfspaces():
+    # the positive quadrant cut by x >= y: rays (1, 0) and (1, 1)
+    assert pc.extreme_rays([(1, 0), (0, 1), (1, -1)], 2) == [(1, 0), (1, 1)]
+    # facet normals of a cone are the extreme rays of its dual
+    c = pc.cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
+    assert tuple(pc.extreme_rays(c.rays, 3)) == c.facet_normals
+    with pytest.raises(NotStronglyConvex):
+        pc.extreme_rays([(1, 0)], 2)

@@ -102,13 +102,6 @@ def test_kernel_basis():
     assert lat.kernel_basis((), 3) == lat.identity(3)
 
 
-def test_unimodular_inverse():
-    M = ((1, 2), (1, 3))
-    assert lat.mat_mul(M, lat.unimodular_inverse(M)) == lat.identity(2)
-    with pytest.raises(ValueError):
-        lat.unimodular_inverse(((2, 0), (0, 1)))
-
-
 matrices = st.integers(1, 5).flatmap(
     lambda m: st.integers(1, 5).flatmap(
         lambda n: st.lists(
@@ -131,6 +124,19 @@ def test_snf_postconditions(A):
             assert b == 0
         elif b:
             assert b % a == 0
+
+
+@given(matrices)
+@settings(max_examples=100, deadline=None)
+def test_saturation_coordinates(A):
+    A = lat.freeze_matrix(A)
+    n = len(A[0])
+    B, Binv = lat.saturation_with_extension(A, n)
+    assert len(B) == lat.rank_of(A)
+    assert abs(lat.determinant(Binv)) == 1
+    # the basis vectors have unit coordinates; the generators lie in the span
+    assert lat.mat_mul(B, Binv) == lat.identity(n)[:len(B)]
+    assert all(not any(lat.vec_mat(a, Binv)[len(B):]) for a in A)
 
 
 @given(matrices)
