@@ -1,7 +1,7 @@
 """Exact strongly convex rational polyhedral cones.
 
-A cone is stored by its primitive extreme rays together with facet normals
-that cut it out inside its linear span:
+A cone is stored by its primitive extreme rays, its dimension, and facet
+normals that cut it out inside its linear span:
 
     sigma = {x : <n, x> >= 0 for every facet normal n}  intersect  span(rays)
 
@@ -9,9 +9,10 @@ All arithmetic is integral.  One double-description routine,
 `extreme_rays`, converts between the two descriptions: it turns a halfspace
 system into extreme rays (used by `intersect`), and, applied to the dual
 system {y : <y, g> >= 0} in coordinates of the generators' span, it turns
-generators into facet normals.  Faces are the intersections of facets,
-found as the closure of the facets' ray sets under intersection.  Cones are
-canonical: rays and normals are primitive and lexicographically sorted, and
+generators into facet normals.  Faces are derived from their parent without
+another conversion: the facets' ray sets, as bitmasks over the parent's
+rays, are closed under intersection, and each face keeps one parent normal
+per facet of its own.  Rays are primitive and lexicographically sorted, and
 equality is equality of ray sets.
 """
 
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 from . import lattice
 from .errors import DimensionMismatch, NotStronglyConvex, ZeroVector
-from .lattice import Mat, Vec, dot, negate, rank_of
+from .lattice import Mat, Vec, dot, rank_of
 
 OUTSIDE = "outside"
 BOUNDARY = "boundary"
@@ -31,9 +32,18 @@ RELATIVE_INTERIOR = "relative_interior"
 
 @dataclass(frozen=True, eq=False)
 class Cone:
+    """Rays, one normal per facet, and dim (the rank of the rays, stored).
+
+    A face from `faces` keeps its parent's normals, which may differ from
+    those of `cone_from_generators(face.rays)` by vectors vanishing on the
+    face's span; neither choice is canonical.  `contains` and `intersect`
+    read the normals only on the span, and `faces` only their zero sets.
+    """
+
     ambient_rank: int
     rays: Mat
     facet_normals: Mat
+    dim: int
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cone):
@@ -43,16 +53,12 @@ class Cone:
     def __hash__(self) -> int:
         return hash((self.ambient_rank, self.rays))
 
-    @property
-    def dim(self) -> int:
-        return rank_of(self.rays)
-
     def __repr__(self) -> str:
         return f"Cone(rank={self.ambient_rank}, rays={list(map(list, self.rays))})"
 
 
 def zero_cone(ambient_rank: int) -> Cone:
-    return Cone(ambient_rank, (), ())
+    return Cone(ambient_rank, (), (), 0)
 
 
 def primitive(v) -> Vec:
@@ -112,7 +118,7 @@ def cone_from_generators(gens, ambient_rank: int) -> Cone:
     for n in normals_d:
         padded = tuple(n) + (0,) * (ambient_rank - d)
         amb_normals.append(lattice.mat_vec(Binv, padded))
-    return Cone(ambient_rank, rays, tuple(sorted(amb_normals)))
+    return Cone(ambient_rank, rays, tuple(sorted(amb_normals)), d)
 
 
 def contains(c: Cone, v) -> str:
@@ -135,25 +141,35 @@ def contains(c: Cone, v) -> str:
 def faces(c: Cone) -> tuple[Cone, ...]:
     """Every face of c, including the zero cone and c itself.
 
-    Every face is an intersection of facets, so the ray sets of the faces
-    are the closure of the facets' ray sets under intersection (c itself is
-    the empty intersection).  Sorted by (dim, rays).
+    Every face is an intersection of facets, so the faces' ray sets, as
+    bitmasks over c.rays, are the closure of the facets' masks under `&` (c
+    itself is the empty intersection).  The proper faces of a face s are
+    the sets s & m, so its facets are those of them of the largest
+    dimension; the face keeps one parent normal for each.  Sorted by
+    (dim, rays).
     """
     if not c.rays:
         return (c,)
-    facets = [frozenset(r for r in c.rays if dot(n, r) == 0)
-              for n in c.facet_normals]
-    seen = {c.rays}
-    todo = [c.rays]
+    facets = {sum(1 << i for i, r in enumerate(c.rays) if dot(n, r) == 0): n
+              for n in c.facet_normals}
+    full = (1 << len(c.rays)) - 1
+    seen = {full}
+    todo = [full]
     while todo:
         sel = todo.pop()
-        for facet in facets:
-            sub = tuple(r for r in sel if r in facet)
-            if sub not in seen:
-                seen.add(sub)
-                todo.append(sub)
-    out = [cone_from_generators(sel, c.ambient_rank) if sel
-           else zero_cone(c.ambient_rank) for sel in seen]
+        new = {sel & m for m in facets} - seen
+        seen |= new
+        todo += new
+    dims: dict[int, int] = {}
+    out = []
+    for sel in sorted(seen, key=int.bit_count):  # subfaces first
+        below = {sel & m: n for m, n in facets.items() if sel & m != sel}
+        top = max((dims[t] for t in below), default=-1)
+        dims[sel] = top + 1
+        out.append(Cone(c.ambient_rank,
+                        tuple(r for i, r in enumerate(c.rays) if sel >> i & 1),
+                        tuple(sorted(n for t, n in below.items() if dims[t] == top)),
+                        top + 1))
     return tuple(sorted(out, key=lambda f: (f.dim, f.rays)))
 
 
@@ -190,11 +206,12 @@ def extreme_rays(rows, k: int) -> list[Vec]:
         else:
             rest.append(r)
 
-    rays: list[Vec] = []
-    for j in range(k):
-        K = lattice.kernel_basis(base[:j] + base[j + 1:], k)
-        r = primitive(K[0])
-        rays.append(negate(r) if dot(base[j], r) < 0 else r)
+    # U @ base @ V == D, so column j of V @ diag(last / d_i) @ U = last * base^-1
+    # is orthogonal to every base row but row j, and pairs positively with it
+    U, D, V = lattice.smith_normal_form(base)
+    last = D[k - 1][k - 1]
+    scaled = tuple(tuple(x * (last // D[i][i]) for i, x in enumerate(row)) for row in V)
+    rays = [primitive(col) for col in lattice.transpose(lattice.mat_mul(scaled, U))]
 
     processed = list(base)
     for m in rest:

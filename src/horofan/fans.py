@@ -106,9 +106,13 @@ def coloured_face(sc: ColouredCone, t: pc.Cone, L: ColouredLattice) -> ColouredC
     """The coloured face of sc supported on the face t of its cone."""
     if not pc.is_face_of(t, sc.cone):
         raise NotAFace("not a face of the given coloured cone")
-    kept = frozenset(a for a in sc.colours
-                     if pc.contains(t, L.xi(a)) != pc.OUTSIDE)
-    return ColouredCone(t, kept)
+    return _inherit(sc, t, L)
+
+
+def _inherit(sc: ColouredCone, t: pc.Cone, L: ColouredLattice) -> ColouredCone:
+    """The face t of sc with the colours whose points lie on it."""
+    return ColouredCone(t, frozenset(a for a in sc.colours
+                                     if pc.contains(t, L.xi(a)) != pc.OUTSIDE))
 
 
 def coloured_rays(sc: ColouredCone, L: ColouredLattice
@@ -164,7 +168,7 @@ def validate_fan(L: ColouredLattice, coloured_cones) -> ColouredFan:
     members[pc.zero_cone(L.rank)] = ColouredCone(pc.zero_cone(L.rank), frozenset())
     for sc in inputs:
         for t in pc.faces(sc.cone):
-            cf = coloured_face(sc, t, L)
+            cf = _inherit(sc, t, L)  # t is a face of sc.cone by construction
             prev = members.get(t)
             if prev is None:
                 members[t] = cf

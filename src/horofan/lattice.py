@@ -37,10 +37,6 @@ def dot(u: Vec, v: Vec) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def negate(v: Vec) -> Vec:
-    return tuple(-x for x in v)
-
-
 def mat_vec(A: Mat, v: Vec) -> Vec:
     """A @ v with v a column vector."""
     return tuple(dot(row, v) for row in A)
@@ -262,7 +258,8 @@ def smith_normal_form(A) -> tuple[Mat, Mat, Mat]:
 
 def invariant_factors(A) -> tuple[int, ...]:
     """Nonzero diagonal entries of the Smith normal form, in chain order."""
-    _, D, _ = smith_normal_form(A)
+    A = freeze_matrix(A)
+    _, D, _, _ = _snf(A, len(A), _check_rectangular([list(r) for r in A]))
     return tuple(D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i])
 
 

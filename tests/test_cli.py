@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from horofan import cli
+from horofan import document as docmod
 
 GOLDENS = pathlib.Path(__file__).parent.parent / "goldens"
 
@@ -190,3 +191,22 @@ def test_parse_error_deep_nesting(tmp_path, capsys):
     doc = tmp_path / "nested.json"
     doc.write_text("[" * 100000)
     _assert_parse_error(capsys, doc)
+
+
+def test_rank8_cyclic_cone_classifies():
+    # the ROADMAP's rank-8 scale: one cyclic cone, rays (1, t, ..., t^7)
+    # for t = 0..11; every face but the cone itself is simplicial
+    doc = docmod.parse(json.dumps({
+        "group": {"components": [], "torus_rank": 8},
+        "parabolic": [],
+        "lattice_rank": 8,
+        "colour_points": {},
+        "cones": [{"rays": [[t ** i for i in range(8)] for t in range(12)],
+                   "colours": []}],
+    }))
+    rep = cli.run(doc, "classify")
+    assert len(rep["cones"]) == 1840
+    assert sum(c["simplicial"] for c in rep["cones"]) == 1839
+    assert rep["verdict"] == {"q_factorial": False, "factorial": False,
+                              "smooth": False, "quotient_singularities": False,
+                              "toroidal": True}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from horofan import cones as pc
 from horofan.errors import DimensionMismatch, NotStronglyConvex, ZeroVector
+from horofan.lattice import rank_of
 
 from oracles import faces3d_oracle, member_oracle, relint_oracle
 
@@ -156,6 +157,31 @@ def test_extreme_rays_match_oracle():
         expected = {g for g in set(gens)
                     if not member_oracle([h for h in set(gens) if h != g], g)}
         assert set(c.rays) == expected
+
+
+def test_derived_faces_match_rebuilt_cones():
+    # faces keep their parent's normals instead of being rebuilt; they must
+    # behave exactly like the cone rebuilt from their rays
+    rng = random.Random(31)
+    for _ in range(40):
+        dim = rng.randint(2, 5)
+        c = pc.cone_from_generators(
+            _random_pointed_gens(rng, dim, rng.randint(2, 7)), dim)
+        points = list(c.rays) + [tuple(-x for x in r) for r in c.rays]
+        points += [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(8)]
+        for f in pc.faces(c):
+            g = pc.cone_from_generators(f.rays, dim) if f.rays else pc.zero_cone(dim)
+            assert f == g and f.dim == rank_of(f.rays) == g.dim
+            assert len(f.facet_normals) == len(g.facet_normals)
+            # the ray sum is relatively interior; differences of rays lie in
+            # the span, mostly outside the face
+            in_span = [tuple(map(sum, zip(*f.rays)))] if f.rays else []
+            in_span += [tuple(a - b for a, b in zip(r, s))
+                        for r in f.rays for s in f.rays if r != s]
+            for p in points + in_span:
+                assert pc.contains(f, p) == pc.contains(g, p)
+            assert [(h.dim, h.rays) for h in pc.faces(f)] \
+                == [(h.dim, h.rays) for h in pc.faces(g)]
 
 
 def test_faces_closed_under_intersection():
