@@ -70,23 +70,6 @@ def primitive(v) -> Vec:
     return tuple(x // g for x in v)
 
 
-def _span_coordinates(prims: Mat, ambient_rank: int) -> tuple[Mat, Mat]:
-    """Coordinates of the generators in a saturated basis of their span.
-
-    Returns (coords, Binv) where x in the span has coordinates
-    (x @ Binv)[:d], d being the dimension of the span.
-    """
-    basis, Binv = lattice.saturation_with_extension(prims, ambient_rank)
-    d = len(basis)
-    coords = []
-    for g in prims:
-        full = lattice.vec_mat(g, Binv)
-        if any(full[d:]):
-            raise AssertionError("generator not in the saturated span")
-        coords.append(full[:d])
-    return tuple(coords), Binv
-
-
 def cone_from_generators(gens, ambient_rank: int) -> Cone:
     """The cone spanned by the generators, with extreme rays and facets extracted."""
     frozen = []
@@ -102,7 +85,7 @@ def cone_from_generators(gens, ambient_rank: int) -> Cone:
     if not prims:
         return zero_cone(ambient_rank)
 
-    coords, Binv = _span_coordinates(prims, ambient_rank)
+    _, coords, Binv = lattice.span_coordinates(prims, ambient_rank)
     d = len(coords[0])
     # the facet normals are the extreme rays of the dual cone; it is
     # full-dimensional exactly when the cone contains no line

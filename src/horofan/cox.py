@@ -21,7 +21,8 @@ from . import dynkin as dk
 from . import lattice
 from .classification import classify as classify_fan
 from .errors import HasTorusFactors
-from .fans import ColouredCone, ColouredFan, ColouredLattice, validate_fan
+from .fans import (ColouredCone, ColouredFan, ColouredLattice, map_fan,
+                   validate_fan)
 from .lattice import FGAbelianGroup, Mat, Vec
 
 # basis_index entries: ("colour", name) or ("ray", primitive generator)
@@ -51,26 +52,12 @@ def torus_split(fan: ColouredFan) -> TorusSplit:
     L = fan.lattice
     points = [m.cone.rays[0] for m in fan.ray_members()]
     points += list(L.colour_points)
-    basis, binv = lattice.saturation_with_extension(points, L.rank)
-    d = len(basis)
-
-    def coords(v: Vec) -> Vec:
-        full = lattice.vec_mat(v, binv)
-        if any(full[d:]):
-            raise AssertionError("fan point outside the saturated sublattice")
-        return full[:d]
-
-    restricted_lattice = ColouredLattice(
-        d, L.colours, tuple(coords(p) for p in L.colour_points))
-    restricted_cones = []
-    for sc in fan.cones:
-        cone = pc.cone_from_generators([coords(r) for r in sc.cone.rays], d) \
-            if sc.cone.rays else pc.zero_cone(d)
-        restricted_cones.append(ColouredCone(cone, sc.colours))
+    basis, coords, _ = lattice.span_coordinates(points, L.rank)
+    at = dict(zip(points, coords))
     return TorusSplit(
         n_prime_basis=basis,
-        quotient_rank=L.rank - d,
-        restricted_fan=validate_fan(restricted_lattice, restricted_cones),
+        quotient_rank=L.rank - len(basis),
+        restricted_fan=map_fan(fan, len(basis), at.__getitem__),
     )
 
 
@@ -117,8 +104,7 @@ def cox_construct(fan: ColouredFan) -> CoxData:
         gens = [e[position[("colour", a)]] for a in sc.colours]
         gens += [e[position[t]] for t in ray_tags
                  if pc.contains(sc.cone, t[1]) != pc.OUTSIDE]
-        cone = pc.cone_from_generators(gens, n_hat) if gens else pc.zero_cone(n_hat)
-        lifted.append(ColouredCone(cone, sc.colours))
+        lifted.append(ColouredCone(pc.cone_from_generators(gens, n_hat), sc.colours))
     cox_fan = validate_fan(hat_lattice, lifted)
 
     class_group = lattice.cokernel_structure(lattice.transpose(mu, ncols=n_hat))

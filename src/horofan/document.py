@@ -191,11 +191,8 @@ def build(doc: FanDocument) -> tuple[dk.DynkinData, ColouredLattice, ColouredFan
         doc.lattice_rank,
         tuple(name for name, _ in doc.colour_points),
         tuple(p for _, p in doc.colour_points))
-    members = []
-    for rays, cols in doc.cones:
-        cone = pc.cone_from_generators(rays, doc.lattice_rank) if rays \
-            else pc.zero_cone(doc.lattice_rank)
-        members.append(ColouredCone(cone, frozenset(cols)))
+    members = [ColouredCone(pc.cone_from_generators(rays, doc.lattice_rank),
+                            frozenset(cols)) for rays, cols in doc.cones]
     return diagram, lattice_, validate_fan(lattice_, members)
 
 

@@ -162,7 +162,7 @@ def components(d: DynkinData) -> list[frozenset[str]]:
     return out
 
 
-def _branch(adj, edge_of, centre: str, first: str, within: frozenset[str]) -> list[str]:
+def _branch(adj, centre: str, first: str, within: frozenset[str]) -> list[str]:
     """Walk the chain starting centre -> first, away from centre."""
     chain = [first]
     prev, cur = centre, first
@@ -228,7 +228,7 @@ def component_labels(d: DynkinData, nodes: frozenset[str]) -> tuple[TypeLabel, .
             return ()
         e = multi[0]
         ends = sorted(v for v in nodes if deg[v] == 1)
-        seqs = [[end] + _branch(adj, edge_of, end, adj[end][0], nodes)
+        seqs = [[end] + _branch(adj, end, adj[end][0], nodes)
                 for end in ends] if n > 2 else [[ends[0], ends[1]], [ends[1], ends[0]]]
         for seq in seqs:
             i = next(k for k in range(n - 1)
@@ -244,12 +244,12 @@ def component_labels(d: DynkinData, nodes: frozenset[str]) -> tuple[TypeLabel, .
     if not forks:
         ends = sorted(v for v in nodes if deg[v] == 1)
         for end in ends:
-            seq = [end] + _branch(adj, edge_of, end, adj[end][0], nodes)
+            seq = [end] + _branch(adj, end, adj[end][0], nodes)
             labels.append(TypeLabel("A", n, tuple(seq)))
         return tuple(sorted(set(labels), key=lambda l: l.nodes_by_index))
 
     c = forks[0]
-    branches = sorted((_branch(adj, edge_of, c, w, nodes) for w in adj[c]),
+    branches = sorted((_branch(adj, c, w, nodes) for w in adj[c]),
                       key=lambda br: (len(br), br))
     lens = tuple(len(br) for br in branches)
 

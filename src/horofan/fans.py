@@ -4,12 +4,20 @@ A coloured lattice is Z^rank equipped with an ordered universal colour set
 and a point for each colour.  A coloured cone pairs a strongly convex cone
 with a subset of colours whose points lie on the cone (away from the
 origin).  A coloured fan is a finite collection of coloured cones closed
-under faces and intersections; `validate_fan` completes the face closure
-automatically, since callers naturally supply only the maximal cones.
+under faces and intersections.
 
 A face inherits exactly the colours whose points lie on it.  That rule
 forces colour consistency across the fan: two members sharing an underlying
 cone must carry identical colour sets.
+
+`validate_fan` checks unchecked cones and completes the face closure (callers
+supply the maximal cones): at the input boundary `document.build`, in
+`sampling.random_coloured_fan`, and in the Cox lift, whose cones are new.
+Maps of a valid fan build their result member for member instead:
+`local.decolour` only shrinks colour sets, and `map_fan` (torus splitting,
+the sampling transforms) pushes members through an injective linear map,
+which keeps faces, intersections and colour incidences.  `ColouredFan`
+owns the canonical member order.
 """
 
 from __future__ import annotations
@@ -67,10 +75,24 @@ class ColouredCone:
         object.__setattr__(self, "colours", frozenset(self.colours))
 
 
+def _sort_key(L: ColouredLattice):
+    def key(sc: ColouredCone):
+        return (sc.cone.dim, sc.cone.rays,
+                tuple(sorted(L.colour_order(a) for a in sc.colours)))
+    return key
+
+
 @dataclass(frozen=True)
 class ColouredFan:
+    """Trusts its members to form a fan; sorts them by (dim, rays, colour
+    order), the order `local --cone INDEX` numbers."""
+
     lattice: ColouredLattice
     cones: tuple[ColouredCone, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "cones",
+                           tuple(sorted(self.cones, key=_sort_key(self.lattice))))
 
     def maximal_cones(self) -> tuple[ColouredCone, ...]:
         out = []
@@ -87,6 +109,15 @@ class ColouredFan:
         """Primitive generators of the rays carrying no colour, sorted."""
         return tuple(sorted(m.cone.rays[0] for m in self.ray_members()
                             if not m.colours))
+
+
+def map_fan(fan: ColouredFan, rank: int, f) -> ColouredFan:
+    """The image of the fan under an injective linear map f into Z^rank."""
+    L = fan.lattice
+    L2 = ColouredLattice(rank, L.colours, tuple(f(p) for p in L.colour_points))
+    return ColouredFan(L2, tuple(
+        ColouredCone(pc.cone_from_generators([f(r) for r in sc.cone.rays], rank),
+                     sc.colours) for sc in fan.cones))
 
 
 def _check_coloured_cone(sc: ColouredCone, L: ColouredLattice) -> None:
@@ -135,15 +166,8 @@ def coloured_rays(sc: ColouredCone, L: ColouredLattice
     return tuple(non_coloured), tuple(coloured)
 
 
-def _sort_key(L: ColouredLattice):
-    def key(sc: ColouredCone):
-        return (sc.cone.dim, sc.cone.rays,
-                tuple(sorted(L.colour_order(a) for a in sc.colours)))
-    return key
-
-
 def validate_fan(L: ColouredLattice, coloured_cones) -> ColouredFan:
-    """Build a coloured fan: validate, close under faces, canonically order.
+    """Build a coloured fan from unchecked cones: validate, close under faces.
 
     Raises ColourPointOutsideCone / ZeroColourPoint for invalid coloured
     cones, OverlappingCones when two cones do not meet along a common face,
@@ -176,5 +200,4 @@ def validate_fan(L: ColouredLattice, coloured_cones) -> ColouredFan:
                 raise InconsistentColours(
                     f"cone with rays {t.rays} carries colour sets "
                     f"{sorted(prev.colours)} and {sorted(cf.colours)}")
-    ordered = tuple(sorted(members.values(), key=_sort_key(L)))
-    return ColouredFan(L, ordered)
+    return ColouredFan(L, tuple(members.values()))

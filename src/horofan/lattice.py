@@ -305,6 +305,20 @@ def saturate(vs, ncols: int | None = None) -> Mat:
     return saturation_with_extension(vs, ncols)[0]
 
 
+def span_coordinates(vs, ncols: int) -> tuple[Mat, Mat, Mat]:
+    """(B, coords, Binv): a saturated basis B of the span of vs, the
+    coordinates of each v in B, and Binv from `saturation_with_extension`."""
+    basis, Binv = saturation_with_extension(vs, ncols)
+    d = len(basis)
+    coords = []
+    for v in vs:
+        full = vec_mat(v, Binv)
+        if any(full[d:]):
+            raise AssertionError("vector not in the saturated span")
+        coords.append(full[:d])
+    return basis, tuple(coords), Binv
+
+
 def kernel_basis(A, ncols: int) -> Mat:
     """Basis of {x in Z^ncols : A @ x = 0}; the basis spans a saturated lattice."""
     A = freeze_matrix(A)
@@ -314,30 +328,6 @@ def kernel_basis(A, ncols: int) -> Mat:
     _, D, V, _ = _snf(A, len(A), ncols, v=True)
     r = sum(1 for i in range(min(len(A), ncols)) if D[i][i])
     return tuple(tuple(V[i][j] for i in range(ncols)) for j in range(r, ncols))
-
-
-def solve_left(B, g, ncols: int | None = None) -> Vec | None:
-    """One integer solution x of x @ B == g, or None if none exists."""
-    B = freeze_matrix(B)
-    g = freeze_vector(g)
-    if B:
-        n = _check_rectangular([list(r) for r in B])
-    else:
-        n = len(g) if ncols is None else ncols
-    if len(g) != n:
-        raise DimensionMismatch("right-hand side has the wrong length")
-    m = len(B)
-    U, D, V, _ = _snf(B, m, n, u=True, v=True)
-    z = vec_mat(g, V)
-    r = sum(1 for i in range(min(m, n)) if D[i][i])
-    if any(z[j] for j in range(r, n)):
-        return None
-    y = [0] * m
-    for i in range(r):
-        if z[i] % D[i][i]:
-            return None
-        y[i] = z[i] // D[i][i]
-    return vec_mat(tuple(y), U)
 
 
 def vector_gcd(v: Vec) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import dynkin
 from .dynkin import DynkinData
 from .errors import ColourSetMismatch, UnknownColour
-from .fans import ColouredCone, ColouredFan, ColouredLattice, validate_fan
+from .fans import ColouredCone, ColouredFan, ColouredLattice
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,15 @@ def affine_local(sc: ColouredCone, L: ColouredLattice, d: DynkinData) -> LocalMo
 
 
 def decolour(fan: ColouredFan, keep) -> ColouredFan:
-    """Intersect every colour set of the fan with `keep`; same underlying cones."""
+    """Intersect every colour set of the fan with `keep`; same underlying cones.
+
+    Not re-validated: a face still inherits exactly its parent's colours
+    that lie on it, now intersected with `keep`, so the result is a fan.
+    """
     keep = frozenset(keep)
     if not keep <= set(fan.lattice.colours):
         raise UnknownColour(
             f"colours outside the universal colour set: "
             f"{sorted(keep - set(fan.lattice.colours))}")
-    stripped = [ColouredCone(sc.cone, sc.colours & keep) for sc in fan.cones]
-    return validate_fan(fan.lattice, stripped)
+    return ColouredFan(fan.lattice, tuple(ColouredCone(sc.cone, sc.colours & keep)
+                                          for sc in fan.cones))

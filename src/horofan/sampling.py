@@ -16,7 +16,8 @@ from itertools import product
 from . import cones as pc
 from . import dynkin as dk
 from . import lattice
-from .fans import ColouredCone, ColouredFan, ColouredLattice, validate_fan
+from .fans import (ColouredCone, ColouredFan, ColouredLattice, map_fan,
+                   validate_fan)
 from .lattice import Mat, Vec
 
 
@@ -142,29 +143,13 @@ def random_coloured_fan(rng: random.Random, diagram: dk.DynkinData, rank: int,
 
 def transform_fan(fan: ColouredFan, T: Mat) -> ColouredFan:
     """Apply a unimodular change of coordinates v -> v @ T to the whole fan."""
-    L = fan.lattice
-    L2 = ColouredLattice(L.rank, L.colours,
-                         tuple(lattice.vec_mat(p, T) for p in L.colour_points))
-    cones2 = []
-    for sc in fan.cones:
-        rays = [lattice.vec_mat(r, T) for r in sc.cone.rays]
-        cone = pc.cone_from_generators(rays, L.rank) if rays else pc.zero_cone(L.rank)
-        cones2.append(ColouredCone(cone, sc.colours))
-    return validate_fan(L2, cones2)
+    return map_fan(fan, fan.lattice.rank, lambda v: lattice.vec_mat(v, T))
 
 
 def embed_with_torus_factor(rng: random.Random, fan: ColouredFan,
                             extra_rank: int) -> ColouredFan:
     """Pad the fan into a larger lattice and shuffle coordinates unimodularly,
     producing a fan with a torus factor of exactly `extra_rank`."""
-    L = fan.lattice
-    n = L.rank + extra_rank
-    pad = lambda v: tuple(v) + (0,) * extra_rank
-    L2 = ColouredLattice(n, L.colours, tuple(pad(p) for p in L.colour_points))
-    cones2 = []
-    for sc in fan.cones:
-        rays = [pad(r) for r in sc.cone.rays]
-        cone = pc.cone_from_generators(rays, n) if rays else pc.zero_cone(n)
-        cones2.append(ColouredCone(cone, sc.colours))
-    padded = validate_fan(L2, cones2)
+    n = fan.lattice.rank + extra_rank
+    padded = map_fan(fan, n, lambda v: tuple(v) + (0,) * extra_rank)
     return transform_fan(padded, random_unimodular(rng, n))

@@ -106,9 +106,10 @@ def test_intersection_with_new_rays():
 
 
 def test_round_trip():
-    for gens in ([(1, 0), (0, 1)], [(1, 2, 0), (0, 1, 1), (2, 1, 1)],
-                 [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]):
-        c = pc.cone_from_generators(gens, len(gens[0]))
+    for gens, n in (([(1, 0), (0, 1)], 2), ([(1, 2, 0), (0, 1, 1), (2, 1, 1)], 3),
+                    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3), ([], 2)):
+        c = pc.cone_from_generators(gens, n)
+        assert c.dim == rank_of(c.rays) and (c == pc.zero_cone(n)) == (not gens)
         assert pc.cone_from_generators(c.rays, c.ambient_rank) == c
         assert pc.cone_from_generators(c.rays, c.ambient_rank).facet_normals \
             == c.facet_normals
@@ -170,7 +171,7 @@ def test_derived_faces_match_rebuilt_cones():
         points = list(c.rays) + [tuple(-x for x in r) for r in c.rays]
         points += [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(8)]
         for f in pc.faces(c):
-            g = pc.cone_from_generators(f.rays, dim) if f.rays else pc.zero_cone(dim)
+            g = pc.cone_from_generators(f.rays, dim)
             assert f == g and f.dim == rank_of(f.rays) == g.dim
             assert len(f.facet_normals) == len(g.facet_normals)
             # the ray sum is relatively interior; differences of rays lie in

@@ -1,7 +1,12 @@
+import random
+
 import pytest
 
 from horofan import cones as pc
+from horofan import cox
 from horofan import fans as F
+from horofan import sampling as S
+from horofan.local import decolour
 from horofan.errors import (ColourPointOutsideCone, InconsistentColours,
                             NotAFace, OverlappingCones, UnknownColour,
                             ZeroColourPoint)
@@ -143,3 +148,30 @@ def test_empty_input_gives_origin_fan():
     fan = F.validate_fan(TORIC2, [])
     assert len(fan.cones) == 1
     assert fan.cones[0].cone == pc.zero_cone(2)
+
+
+def _same_as_validated(fan):
+    again = F.validate_fan(fan.lattice, fan.cones)
+    assert fan == again
+    assert [m.cone.dim for m in fan.cones] == [m.cone.dim for m in again.cones]
+    return fan
+
+
+def test_maps_build_what_validation_builds():
+    # decolour, torus_split and the sampling transforms build their fans
+    # member for member without validate_fan; validating changes nothing
+    rng = random.Random(2024)
+    for i in range(30):
+        d = S.random_diagram(rng)
+        fan = S.random_coloured_fan(rng, d, rng.randint(1, 3),
+                                    n_hyperplanes=rng.randint(1, 3), max_cells=3)
+        if i % 3 == 0:
+            fan = _same_as_validated(
+                S.embed_with_torus_factor(rng, fan, rng.randint(1, 2)))
+        colours = fan.lattice.colours
+        for keep in ((), rng.sample(colours, rng.randint(0, len(colours))), colours):
+            _same_as_validated(decolour(fan, keep))
+        _same_as_validated(cox.torus_split(fan).restricted_fan)
+        T = S.random_unimodular(rng, fan.lattice.rank)
+        _same_as_validated(S.transform_fan(fan, T))
+        assert F.ColouredFan(fan.lattice, reversed(fan.cones)) == fan

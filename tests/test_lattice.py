@@ -58,19 +58,28 @@ def test_saturate_examples():
     assert lat.saturate([], ncols=2) == ()
 
 
+def _in_z_span(B, v):
+    # adding v leaves the row lattice, hence its invariant factors, unchanged
+    # iff v already lies in it; otherwise the rank or the index drops
+    return lat.invariant_factors(list(B) + [v]) == lat.invariant_factors(B)
+
+
 def test_saturate_membership_and_idempotence():
     vs = [(2, 4, 0), (0, 6, 2)]
     B = lat.saturate(vs)
     for v in vs:
-        assert lat.solve_left(B, v) is not None
-    assert lat.rank_of(lat.saturate(B)) == lat.rank_of(B)
-    assert set(lat.saturate(B)) <= set(lat.saturate(lat.saturate(B))) or True
+        assert _in_z_span(B, v)
+    # half of vs[0] is in the saturation but not in the span of vs
+    assert _in_z_span(B, (1, 2, 0)) and not _in_z_span(vs, (1, 2, 0))
+    assert not _in_z_span(B, (0, 0, 1))
+    assert lat.invariant_factors(B) == (1, 1)
     # idempotence up to span: both saturations span the same lattice
     B2 = lat.saturate(B)
+    assert lat.invariant_factors(B2) == (1, 1)
     for v in B:
-        assert lat.solve_left(B2, v) is not None
+        assert _in_z_span(B2, v)
     for v in B2:
-        assert lat.solve_left(B, v) is not None
+        assert _in_z_span(B, v)
 
 
 def test_cokernel_examples():
