@@ -59,7 +59,10 @@ def simplicial_multiset(sc: ColouredCone, L: ColouredLattice) -> tuple[Vec, ...]
 
 
 def is_simplicial(sc: ColouredCone, L: ColouredLattice) -> bool:
-    return lattice.is_linearly_independent(simplicial_multiset(sc, L))
+    """True iff the simplicial multiset is linearly independent: it spans the
+    cone's span (a coloured ray is a multiple of one of its colour points, and
+    colour points lie on the cone), so iff its size is the cone's dim."""
+    return len(simplicial_multiset(sc, L)) == sc.cone.dim
 
 
 def is_regular(sc: ColouredCone, L: ColouredLattice) -> bool:

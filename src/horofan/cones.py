@@ -9,7 +9,9 @@ All arithmetic is integral.  One double-description routine,
 `extreme_rays`, converts between the two descriptions: it turns a halfspace
 system into extreme rays (used by `intersect`), and, applied to the dual
 system {y : <y, g> >= 0} in coordinates of the generators' span, it turns
-generators into facet normals.  Faces are derived from their parent without
+generators into facet normals.  Adjacency of rays, and extremality of
+generators, are read off bitmasks of the rows (normals) they lie on, with no
+rank computed.  Faces are derived from their parent without
 another conversion: the facets' ray sets, as bitmasks over the parent's
 rays, are closed under intersection, and each face keeps one parent normal
 per facet of its own.  Rays are primitive and lexicographically sorted, and
@@ -93,9 +95,12 @@ def cone_from_generators(gens, ambient_rank: int) -> Cone:
     if rank_of(normals_d) != d:
         raise NotStronglyConvex("the generators span a cone containing a line")
 
-    rays = tuple(sorted(
-        g for g, c in zip(prims, coords)
-        if rank_of([n for n in normals_d if dot(n, c) == 0]) == d - 1))
+    # a generator is extreme iff no other generator lies on every facet it
+    # lies on (the face those facets cut out is then its own ray)
+    masks = [sum(1 << i for i, n in enumerate(normals_d) if dot(n, c) == 0)
+             for c in coords]
+    rays = tuple(sorted(g for g, z in zip(prims, masks)
+                        if sum(y & z == z for y in masks) == 1))
 
     amb_normals = []
     for n in normals_d:
@@ -170,10 +175,14 @@ def extreme_rays(rows, k: int) -> list[Vec]:
 
     Incremental double description (Fukuda & Prodon 1996): start from a
     simplicial subsystem of full rank and insert the remaining halfspaces
-    one at a time, combining positive/negative rays that pass the algebraic
-    adjacency test.  The rows must have rank k (that is exactly pointedness
-    of the cone).  Applied to the generators of a full-dimensional cone as
-    rows, it returns the dual cone's extreme rays: the facet normals.
+    one at a time, combining positive/negative rays that are adjacent.  The
+    test is combinatorial: each ray keeps a bitmask of the inserted rows it
+    lies on, and rp, rm are adjacent iff their common mask z (which cuts out
+    the smallest face holding both) has at least k - 2 bits and no third
+    ray's mask contains z.  The rows must have rank k (that is exactly
+    pointedness of the cone).  Applied to the generators of a
+    full-dimensional cone as rows, it returns the dual cone's extreme rays:
+    the facet normals.
     """
     if k == 0:
         return []
@@ -194,29 +203,30 @@ def extreme_rays(rows, k: int) -> list[Vec]:
     U, D, V = lattice.smith_normal_form(base)
     last = D[k - 1][k - 1]
     scaled = tuple(tuple(x * (last // D[i][i]) for i, x in enumerate(row)) for row in V)
-    rays = [primitive(col) for col in lattice.transpose(lattice.mat_mul(scaled, U))]
+    cols = lattice.transpose(lattice.mat_mul(scaled, U))
+    full = (1 << k) - 1
+    zs = {primitive(col): full & ~(1 << j) for j, col in enumerate(cols)}
 
-    processed = list(base)
-    for m in rest:
-        vals = {r: dot(m, r) for r in rays}
-        minus = [r for r in rays if vals[r] < 0]
-        if not minus:
-            processed.append(m)
-            continue
-        plus = [r for r in rays if vals[r] > 0]
-        new = [r for r in rays if vals[r] >= 0]
+    for i, m in enumerate(rest, k):
+        bit = 1 << i
+        vals = {r: dot(m, r) for r in zs}
+        plus = [r for r in zs if vals[r] > 0]
+        minus = [r for r in zs if vals[r] < 0]
+        new = {r: z | bit if vals[r] == 0 else z
+               for r, z in zs.items() if vals[r] >= 0}
         for rp in plus:
             for rm in minus:
-                tight = [p for p in processed if dot(p, rp) == 0 and dot(p, rm) == 0]
-                if rank_of(tight) != k - 2:
+                zp, zm = zs[rp], zs[rm]
+                z = zp & zm
+                if z.bit_count() < k - 2 or any(
+                        y & z == z and y != zp and y != zm for y in zs.values()):
                     continue  # not adjacent in the current cone
                 comb = tuple(vals[rp] * b - vals[rm] * a for a, b in zip(rp, rm))
-                new.append(primitive(comb))
-        rays = list(dict.fromkeys(new))
-        processed.append(m)
-        if not rays:
+                new[primitive(comb)] = z | bit
+        zs = new
+        if not zs:
             break
-    return sorted(set(rays))
+    return sorted(zs)
 
 
 @lru_cache(maxsize=None)

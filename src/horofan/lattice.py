@@ -3,15 +3,17 @@
 Vectors are tuples of Python ints and matrices are tuples of row tuples, so
 everything here is exact at arbitrary precision.  The two workhorses are
 Bareiss elimination (ranks, determinants) and a Smith normal form with
-tracked unimodular transforms, on which basis extension, saturation, kernels
-and cokernels are built.  Intended for desk-scale inputs (ranks up to about
-a dozen); there is deliberately no modular or sparse acceleration.
+tracked unimodular transforms, on which saturation, kernels and cokernels
+are built; basis extension eliminates one row at a time instead.  Intended
+for desk-scale inputs (ranks up to about a dozen); there is deliberately no
+modular or sparse acceleration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .errors import DimensionMismatch
 
@@ -20,7 +22,7 @@ Mat = tuple[Vec, ...]
 
 
 def freeze_vector(v) -> Vec:
-    return tuple(int(x) for x in v)
+    return tuple(map(int, v))
 
 
 def freeze_matrix(rows) -> Mat:
@@ -34,7 +36,7 @@ def identity(n: int) -> Mat:
 def dot(u: Vec, v: Vec) -> int:
     if len(u) != len(v):
         raise DimensionMismatch(f"dot of vectors of length {len(u)} and {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def mat_vec(A: Mat, v: Vec) -> Vec:
@@ -264,16 +266,29 @@ def invariant_factors(A) -> tuple[int, ...]:
 
 
 def extends_to_Z_basis(vs, ambient_rank: int) -> bool:
-    """True iff the multiset of vectors is part of a Z-basis of Z^ambient_rank."""
-    vs = freeze_matrix(vs)
-    for v in vs:
+    """True iff the multiset of vectors is part of a Z-basis of Z^ambient_rank.
+
+    Column operations (Euclid) bring one row to a single entry, which must be
+    +-1; that column is then dropped and the other rows must extend in turn.
+    """
+    rows = [list(map(int, v)) for v in vs]
+    for v in rows:
         if len(v) != ambient_rank:
             raise DimensionMismatch(
                 f"vector of length {len(v)} in a rank-{ambient_rank} lattice")
-    if len(set(vs)) != len(vs) or len(vs) > ambient_rank:
-        return False
-    facs = invariant_factors(vs)
-    return len(facs) == len(vs) and all(d == 1 for d in facs)
+    while rows:
+        top = rows.pop()
+        while len(nz := [j for j, x in enumerate(top) if x]) > 1:
+            p = min(nz, key=lambda j: abs(top[j]))
+            qs = [(j, top[j] // top[p]) for j in nz if j != p]
+            for r in rows + [top]:
+                for j, q in qs:
+                    r[j] -= q * r[p]
+        if not nz or abs(top[nz[0]]) != 1:
+            return False  # a dependent row ends as zero, a non-unit gcd stays
+        for r in rows:
+            del r[nz[0]]
+    return True
 
 
 def saturation_with_extension(vs, ncols: int | None = None) -> tuple[Mat, Mat]:

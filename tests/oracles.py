@@ -2,7 +2,8 @@
 
 Each oracle deliberately avoids the code path it checks: cone membership
 uses Caratheodory subsets with exact rational solves, invariant factors use
-the gcd-of-minors formula, dim-3 facets use cross products, and diagram
+the gcd-of-minors formula, dim-3 facets use cross products, extreme rays of
+halfspace systems use every subset of k - 1 rows, and diagram
 recognition matches decorated graphs against templates by permutation
 search.
 """
@@ -140,7 +141,36 @@ def faces3d_oracle(gens: list[Vec]) -> set[frozenset[Vec]]:
     return out
 
 
+# --- extreme rays of a halfspace system, by subsets of tight rows ----------
+
+def extreme_rays_oracle(rows: list[Vec], k: int) -> list[Vec]:
+    """Extreme rays of {x : row @ x >= 0} for rows of rank k.
+
+    Every extreme ray is the kernel line of k - 1 independent rows; the
+    kernel direction of k - 1 rows is their generalized cross product (the
+    signed maximal minors), kept with the sign that satisfies every row.
+    """
+    out = set()
+    for subset in combinations(rows, k - 1):
+        d = tuple((-1) ** j * _det([[r[i] for i in range(k) if i != j]
+                                    for r in subset]) for j in range(k))
+        if not any(d):
+            continue  # the subset has rank < k - 1
+        for v in (d, tuple(-x for x in d)):
+            if all(dot(r, v) >= 0 for r in rows):
+                out.add(_prim(v))
+    return sorted(out)
+
+
 # --- invariant factors via determinantal divisors --------------------------
+
+def _det(rows) -> int:
+    """Determinant of a square integer matrix by Laplace expansion."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
 
 def minors_gcd_invariant_factors(A: Mat) -> list[int]:
     """d_k = gcd(k-minors) / gcd((k-1)-minors); independent of elimination."""
@@ -149,24 +179,7 @@ def minors_gcd_invariant_factors(A: Mat) -> list[int]:
     m, n = len(A), len(A[0]) if A else 0
 
     def det(rows_idx, cols_idx):
-        k = len(rows_idx)
-        M = [[Fraction(A[i][j]) for j in cols_idx] for i in rows_idx]
-        # exact rational Gaussian determinant
-        d = Fraction(1)
-        for c in range(k):
-            sel = next((r for r in range(c, k) if M[r][c] != 0), None)
-            if sel is None:
-                return 0
-            if sel != c:
-                M[c], M[sel] = M[sel], M[c]
-                d = -d
-            d *= M[c][c]
-            inv = 1 / M[c][c]
-            for r in range(c + 1, k):
-                f = M[r][c] * inv
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-        assert d.denominator == 1
-        return int(d)
+        return _det([[A[i][j] for j in cols_idx] for i in rows_idx])
 
     prev = 1
     out = []

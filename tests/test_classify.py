@@ -6,6 +6,7 @@ from horofan import classification as cl
 from horofan import cones as pc
 from horofan import dynkin as dk
 from horofan import fans as F
+from horofan import lattice as lat
 from horofan import sampling as S
 from horofan.errors import ColourSetMismatch
 
@@ -146,6 +147,35 @@ def test_unimodular_invariance():
                 v1.quotient_singularities, v1.toroidal) == \
                (v2.q_factorial, v2.factorial, v2.smooth,
                 v2.quotient_singularities, v2.toroidal)
+
+
+def test_cone_flags_metamorphic():
+    # per-cone flags survive a change of coordinates and a reversed listing,
+    # and is_simplicial agrees with plain linear independence
+    rng = random.Random(47)
+    coloured = 0
+    while coloured < 20:
+        d = S.random_diagram(rng)
+        rank = rng.randint(2, 4)
+        fan = S.random_coloured_fan(rng, d, rank, n_hyperplanes=rng.randint(1, 2),
+                                    colour_in_fan=0.9)
+        if not any(m.colours for m in fan.cones):
+            continue
+        coloured += 1
+        v = cl.classify(fan, d)
+        T = S.random_unimodular(rng, rank)
+        moved = S.transform_fan(fan, T)
+        flags = dict(zip(moved.cones, cl.classify(moved, d).cones))
+        for m, f in zip(fan.cones, v.cones):
+            image = pc.cone_from_generators(
+                [lat.vec_mat(r, T) for r in m.cone.rays], rank)
+            assert flags[F.ColouredCone(image, m.colours)] == f
+        listed = F.validate_fan(fan.lattice, reversed(fan.maximal_cones()))
+        assert cl.classify(listed, d) == v
+        for g in (fan, moved):
+            for m in g.cones:
+                assert cl.is_simplicial(m, g.lattice) == lat.is_linearly_independent(
+                    cl.simplicial_multiset(m, g.lattice))
 
 
 def test_face_monotonicity():

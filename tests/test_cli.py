@@ -195,18 +195,19 @@ def test_parse_error_deep_nesting(tmp_path, capsys):
 
 def test_rank8_cyclic_cone_classifies():
     # the ROADMAP's rank-8 scale: one cyclic cone, rays (1, t, ..., t^7)
-    # for t = 0..11; every face but the cone itself is simplicial
-    doc = docmod.parse(json.dumps({
-        "group": {"components": [], "torus_rank": 8},
-        "parabolic": [],
-        "lattice_rank": 8,
-        "colour_points": {},
-        "cones": [{"rays": [[t ** i for i in range(8)] for t in range(12)],
-                   "colours": []}],
-    }))
-    rep = cli.run(doc, "classify")
-    assert len(rep["cones"]) == 1840
-    assert sum(c["simplicial"] for c in rep["cones"]) == 1839
-    assert rep["verdict"] == {"q_factorial": False, "factorial": False,
-                              "smooth": False, "quotient_singularities": False,
-                              "toroidal": True}
+    # for t = 0..n-1; every face but the cone itself is simplicial
+    for n, n_cones in ((12, 1840), (14, 3616)):
+        doc = docmod.parse(json.dumps({
+            "group": {"components": [], "torus_rank": 8},
+            "parabolic": [],
+            "lattice_rank": 8,
+            "colour_points": {},
+            "cones": [{"rays": [[t ** i for i in range(8)] for t in range(n)],
+                       "colours": []}],
+        }))
+        rep = cli.run(doc, "classify")
+        assert len(rep["cones"]) == n_cones
+        assert sum(c["simplicial"] for c in rep["cones"]) == n_cones - 1
+        assert rep["verdict"] == {"q_factorial": False, "factorial": False,
+                                  "smooth": False, "quotient_singularities": False,
+                                  "toroidal": True}

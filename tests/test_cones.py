@@ -2,14 +2,15 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from horofan import cones as pc
 from horofan.errors import DimensionMismatch, NotStronglyConvex, ZeroVector
 from horofan.lattice import rank_of
 
-from oracles import faces3d_oracle, member_oracle, relint_oracle
+from oracles import (extreme_rays_oracle, faces3d_oracle, member_oracle,
+                     relint_oracle)
 
 
 def test_primitive():
@@ -158,6 +159,31 @@ def test_extreme_rays_match_oracle():
         expected = {g for g in set(gens)
                     if not member_oracle([h for h in set(gens) if h != g], g)}
         assert set(c.rays) == expected
+
+
+@st.composite
+def _halfspace_systems(draw):
+    k = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k),
+                         min_size=k, max_size=k + 2))
+    if draw(st.booleans()):
+        # orient the rows towards (1, ..., 1) so the cone is rarely {0}
+        rows = [r if sum(r) >= 0 else tuple(-x for x in r) for r in rows]
+    # repeated directions, inserted early so that many rays lie on both
+    # copies, and a redundant row (the sum of two others)
+    twice = [tuple(2 * x for x in r) for r in rows[:draw(st.integers(0, k))]]
+    rows = rows[:k] + twice + rows[k:]
+    if draw(st.booleans()):
+        rows.append(tuple(a + b for a, b in zip(rows[0], rows[1])))
+    return rows, k
+
+
+@given(_halfspace_systems())
+@settings(max_examples=120, deadline=None)
+def test_extreme_rays_match_halfspace_oracle(system):
+    rows, k = system
+    assume(rank_of(rows) == k)
+    assert pc.extreme_rays(rows, k) == extreme_rays_oracle(rows, k)
 
 
 def test_derived_faces_match_rebuilt_cones():

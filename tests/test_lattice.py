@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,6 +155,44 @@ def test_saturation_coordinates(A):
 def test_invariant_factors_match_minors_oracle(A):
     A = lat.freeze_matrix(A)
     assert list(lat.invariant_factors(A)) == minors_gcd_invariant_factors(A)
+
+
+def test_invariant_factors_match_sympy():
+    # an independent SNF at sizes the gcd-of-minors oracle cannot reach
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(41)
+    for _ in range(12):
+        m, n = rng.randint(6, 8), rng.randint(6, 8)
+        A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.4:  # rank-deficient
+            A[-1] = [a - 2 * b for a, b in zip(A[0], A[1])]
+        want = invariant_factors(sympy.Matrix(A), domain=sympy.ZZ)
+        assert lat.invariant_factors(A) == tuple(abs(int(d)) for d in want if d)
+
+
+@st.composite
+def _row_sets(draw):
+    n = draw(st.integers(1, 5))
+    vs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n),
+                       min_size=1, max_size=n))
+    # make the last row dependent, repeated or non-primitive
+    extra = draw(st.sampled_from(["none", "sum", "repeat", "double"]))
+    if extra == "sum" and len(vs) > 2:
+        vs[-1] = tuple(a + b for a, b in zip(vs[0], vs[1]))
+    elif extra == "repeat" and len(vs) > 1:
+        vs[-1] = vs[0]
+    elif extra == "double":
+        vs[-1] = tuple(2 * x for x in vs[-1])
+    return vs, n
+
+
+@given(_row_sets())
+@settings(max_examples=300, deadline=None)
+def test_extends_to_Z_basis_matches_minors_oracle(system):
+    vs, n = system
+    assert lat.extends_to_Z_basis(vs, n) \
+        == (minors_gcd_invariant_factors(vs) == [1] * len(vs))
 
 
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
