@@ -1,21 +1,22 @@
 """Exact strongly convex rational polyhedral cones.
 
-A cone is stored by its primitive extreme rays, its dimension, and facet
-normals that cut it out inside its linear span:
+A cone is stored by its primitive extreme rays, its dimension, facet
+normals and equations (linear forms vanishing exactly on its span):
 
-    sigma = {x : <n, x> >= 0 for every facet normal n}  intersect  span(rays)
+    sigma = {x : <n, x> >= 0 for every normal n, <e, x> == 0 for every e}
 
 All arithmetic is integral.  One double-description routine,
 `extreme_rays`, converts between the two descriptions: it turns a halfspace
 system into extreme rays (used by `intersect`), and, applied to the dual
 system {y : <y, g> >= 0} in coordinates of the generators' span, it turns
-generators into facet normals.  Adjacency of rays, and extremality of
-generators, are read off bitmasks of the rows (normals) they lie on, with no
-rank computed.  Faces are derived from their parent without
-another conversion: the facets' ray sets, as bitmasks over the parent's
-rays, are closed under intersection, and each face keeps one parent normal
-per facet of its own.  Rays are primitive and lexicographically sorted, and
-equality is equality of ray sets.
+generators into facet normals; the SNF behind those coordinates also gives
+the equations.  Adjacency of rays, and extremality of generators, are read
+off bitmasks of the rows (normals) they lie on, with no rank computed.
+Faces are derived from their parent without another conversion: the
+facets' ray sets, as bitmasks over the parent's rays, are closed under
+intersection, and each face keeps one parent normal per facet of its own.
+Rays are primitive and lexicographically sorted, and equality is equality
+of ray sets; normals and equations are not canonical.
 """
 
 from __future__ import annotations
@@ -34,18 +35,21 @@ RELATIVE_INTERIOR = "relative_interior"
 
 @dataclass(frozen=True, eq=False)
 class Cone:
-    """Rays, one normal per facet, and dim (the rank of the rays, stored).
+    """Rays, one normal per facet, dim (the rank of the rays, stored), and
+    equations generating the linear forms that vanish on span(rays).
 
-    A face from `faces` keeps its parent's normals, which may differ from
-    those of `cone_from_generators(face.rays)` by vectors vanishing on the
-    face's span; neither choice is canonical.  `contains` and `intersect`
-    read the normals only on the span, and `faces` only their zero sets.
+    A face from `faces` keeps its parent's normals, and a redundant set of
+    equations, which may differ from those of `cone_from_generators(face.rays)`
+    by forms vanishing on the face's span; neither choice is canonical, so
+    equality and hash read the rays only.  `contains` and `intersect` test
+    the span with the equations and read the normals only on it.
     """
 
     ambient_rank: int
     rays: Mat
     facet_normals: Mat
     dim: int
+    equations: Mat
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cone):
@@ -60,7 +64,7 @@ class Cone:
 
 
 def zero_cone(ambient_rank: int) -> Cone:
-    return Cone(ambient_rank, (), (), 0)
+    return Cone(ambient_rank, (), (), 0, lattice.identity(ambient_rank))
 
 
 def primitive(v) -> Vec:
@@ -106,7 +110,9 @@ def cone_from_generators(gens, ambient_rank: int) -> Cone:
     for n in normals_d:
         padded = tuple(n) + (0,) * (ambient_rank - d)
         amb_normals.append(lattice.mat_vec(Binv, padded))
-    return Cone(ambient_rank, rays, tuple(sorted(amb_normals)), d)
+    # x @ Binv has zero entries from d on exactly when x is in the span
+    return Cone(ambient_rank, rays, tuple(sorted(amb_normals)), d,
+                lattice.transpose(Binv)[d:])
 
 
 def contains(c: Cone, v) -> str:
@@ -115,9 +121,7 @@ def contains(c: Cone, v) -> str:
     if len(v) != c.ambient_rank:
         raise DimensionMismatch(
             f"point of length {len(v)} against ambient rank {c.ambient_rank}")
-    if not c.rays:
-        return RELATIVE_INTERIOR if not any(v) else OUTSIDE
-    if rank_of(c.rays + (v,)) != c.dim:
+    if any(dot(e, v) for e in c.equations):
         return OUTSIDE
     dots = [dot(n, v) for n in c.facet_normals]
     if any(x < 0 for x in dots):
@@ -133,7 +137,8 @@ def faces(c: Cone) -> tuple[Cone, ...]:
     bitmasks over c.rays, are the closure of the facets' masks under `&` (c
     itself is the empty intersection).  The proper faces of a face s are
     the sets s & m, so its facets are those of them of the largest
-    dimension; the face keeps one parent normal for each.  Sorted by
+    dimension; the face keeps one parent normal for each, and adds those of
+    the facets containing it to the parent's equations.  Sorted by
     (dim, rays).
     """
     if not c.rays:
@@ -154,10 +159,11 @@ def faces(c: Cone) -> tuple[Cone, ...]:
         below = {sel & m: n for m, n in facets.items() if sel & m != sel}
         top = max((dims[t] for t in below), default=-1)
         dims[sel] = top + 1
+        on = tuple(n for m, n in facets.items() if sel & m == sel)
         out.append(Cone(c.ambient_rank,
                         tuple(r for i, r in enumerate(c.rays) if sel >> i & 1),
                         tuple(sorted(n for t, n in below.items() if dims[t] == top)),
-                        top + 1))
+                        top + 1, c.equations + on))
     return tuple(sorted(out, key=lambda f: (f.dim, f.rays)))
 
 
@@ -231,7 +237,7 @@ def extreme_rays(rows, k: int) -> list[Vec]:
 
 @lru_cache(maxsize=None)
 def intersect(a: Cone, b: Cone) -> Cone:
-    """The cone a ∩ b, computed from the combined facet systems."""
+    """The cone a ∩ b: the combined facet systems in a basis W of the common span."""
     if a.ambient_rank != b.ambient_rank:
         raise DimensionMismatch("cones in different ambient lattices")
     n = a.ambient_rank
@@ -240,8 +246,7 @@ def intersect(a: Cone, b: Cone) -> Cone:
     if not a.rays or not b.rays:
         return zero_cone(n)
 
-    eqs = lattice.kernel_basis(a.rays, n) + lattice.kernel_basis(b.rays, n)
-    W = lattice.kernel_basis(eqs, n) if eqs else lattice.identity(n)
+    W = lattice.kernel_basis(a.equations + b.equations, n)
     k = len(W)
     if k == 0:
         return zero_cone(n)

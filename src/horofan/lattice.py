@@ -258,13 +258,6 @@ def smith_normal_form(A) -> tuple[Mat, Mat, Mat]:
     return U, D, V
 
 
-def invariant_factors(A) -> tuple[int, ...]:
-    """Nonzero diagonal entries of the Smith normal form, in chain order."""
-    A = freeze_matrix(A)
-    _, D, _, _ = _snf(A, len(A), _check_rectangular([list(r) for r in A]))
-    return tuple(D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i])
-
-
 def extends_to_Z_basis(vs, ambient_rank: int) -> bool:
     """True iff the multiset of vectors is part of a Z-basis of Z^ambient_rank.
 

@@ -5,7 +5,8 @@ uses Caratheodory subsets with exact rational solves, invariant factors use
 the gcd-of-minors formula, dim-3 facets use cross products, extreme rays of
 halfspace systems use every subset of k - 1 rows, and diagram
 recognition matches decorated graphs against templates by permutation
-search.
+search.  `snf_diagonal` is no oracle: it reads the library's Smith normal
+form, for the tests that compare it with one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from horofan import dynkin as dk
-from horofan.lattice import Mat, Vec, dot
+from horofan.lattice import Mat, Vec, dot, smith_normal_form
 
 
 # --- exact rational linear solve -------------------------------------------
@@ -193,6 +194,12 @@ def minors_gcd_invariant_factors(A: Mat) -> list[int]:
         out.append(g // prev)
         prev = g
     return out
+
+
+def snf_diagonal(A) -> tuple[int, ...]:
+    """Nonzero diagonal entries of `smith_normal_form(A)`, in chain order."""
+    _, D, _ = smith_normal_form(A)
+    return tuple(D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i])
 
 
 # --- dynkin template matching ----------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from horofan import cones as pc
+from horofan import lattice
 from horofan.errors import DimensionMismatch, NotStronglyConvex, ZeroVector
 from horofan.lattice import rank_of
 
@@ -106,6 +107,12 @@ def test_intersection_with_new_rays():
         assert pc.contains(dm, r) != pc.OUTSIDE
 
 
+def _assert_span_equations(c):
+    # the equations vanish on the span and cut out nothing larger
+    assert all(lattice.dot(e, r) == 0 for e in c.equations for r in c.rays)
+    assert rank_of(c.equations) == c.ambient_rank - c.dim
+
+
 def test_round_trip():
     for gens, n in (([(1, 0), (0, 1)], 2), ([(1, 2, 0), (0, 1, 1), (2, 1, 1)], 3),
                     ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3), ([], 2)):
@@ -114,6 +121,8 @@ def test_round_trip():
         assert pc.cone_from_generators(c.rays, c.ambient_rank) == c
         assert pc.cone_from_generators(c.rays, c.ambient_rank).facet_normals \
             == c.facet_normals
+        _assert_span_equations(c)
+        _assert_span_equations(pc.zero_cone(n))
 
 
 def _random_pointed_gens(rng, dim, count):
@@ -200,6 +209,7 @@ def test_derived_faces_match_rebuilt_cones():
             g = pc.cone_from_generators(f.rays, dim)
             assert f == g and f.dim == rank_of(f.rays) == g.dim
             assert len(f.facet_normals) == len(g.facet_normals)
+            _assert_span_equations(f)  # a redundant generating set
             # the ray sum is relatively interior; differences of rays lie in
             # the span, mostly outside the face
             in_span = [tuple(map(sum, zip(*f.rays)))] if f.rays else []
@@ -209,6 +219,33 @@ def test_derived_faces_match_rebuilt_cones():
                 assert pc.contains(f, p) == pc.contains(g, p)
             assert [(h.dim, h.rays) for h in pc.faces(f)] \
                 == [(h.dim, h.rays) for h in pc.faces(g)]
+
+
+def test_work_counts_of_intersect_and_contains(monkeypatch):
+    # machine-independent: intersect finds the common span with one kernel
+    # SNF over the stored equations, and contains tests the span with no rank
+    a = pc.cone_from_generators([(1, 0, 0, 0), (0, 1, 0, 0)], 4)
+    b = pc.cone_from_generators([(1, 1, 0, 0), (0, 0, 1, 0)], 4)
+    calls = {"kernel_basis": 0, "rank_of": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lattice, "kernel_basis",
+                        counted("kernel_basis", lattice.kernel_basis))
+    monkeypatch.setattr(pc, "rank_of", counted("rank_of", pc.rank_of))
+    pc.intersect.cache_clear()
+    pc.faces.cache_clear()
+    assert pc.intersect(a, b).rays == ((1, 1, 0, 0),)
+    assert calls["kernel_basis"] == 1
+    calls["rank_of"] = 0
+    for p in [(1, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (-1, 0, 0, 0), (0, 0, 0, 0)]:
+        pc.contains(a, p)
+        pc.contains(pc.zero_cone(4), p)
+    assert calls["rank_of"] == 0
 
 
 def test_faces_closed_under_intersection():
