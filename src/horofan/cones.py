@@ -192,17 +192,17 @@ def extreme_rays(rows, k: int) -> list[Vec]:
     """
     if k == 0:
         return []
-    rows = [r for r in dict.fromkeys(rows) if any(r)]
-    if rank_of(rows) < k:
-        raise NotStronglyConvex("halfspace system with a lineality space")
-
     base: list[Vec] = []
     rest: list[Vec] = []
-    for r in rows:
+    for r in dict.fromkeys(rows):
+        if not any(r):
+            continue
         if len(base) < k and rank_of(base + [r]) > len(base):
             base.append(r)
         else:
             rest.append(r)
+    if len(base) < k:
+        raise NotStronglyConvex("halfspace system with a lineality space")
 
     # U @ base @ V == D, so column j of V @ diag(last / d_i) @ U = last * base^-1
     # is orthogonal to every base row but row j, and pairs positively with it
@@ -251,11 +251,7 @@ def intersect(a: Cone, b: Cone) -> Cone:
     if k == 0:
         return zero_cone(n)
 
-    rows = []
-    for nv in a.facet_normals + b.facet_normals:
-        t = tuple(dot(nv, w) for w in W)
-        if any(t) and t not in rows:
-            rows.append(t)
-    rays_w = extreme_rays(rows, k)
+    rays_w = extreme_rays([tuple(dot(nv, w) for w in W)
+                           for nv in a.facet_normals + b.facet_normals], k)
     rays_amb = [lattice.vec_mat(r, W) for r in rays_w]
     return cone_from_generators(rays_amb, n)

@@ -19,6 +19,9 @@ node outside the parabolic set exactly once.
 
 `parse` performs schema and identifier validation only; `build` constructs
 the diagram, lattice and validated fan and may raise validation errors.
+`parse` also refuses a lattice rank above MAX_LATTICE_RANK and a component
+rank above MAX_COMPONENT_RANK, so that a short document cannot ask for
+work quadratic in a huge rank.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ from . import dynkin as dk
 from .errors import DimensionMismatch, ParseError, UnresolvedIdentifier
 from .fans import ColouredCone, ColouredFan, ColouredLattice, validate_fan
 from .lattice import Vec, freeze_vector
+
+MAX_LATTICE_RANK = 64
+MAX_COMPONENT_RANK = 64
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,9 @@ def parse(text: str) -> FanDocument:
             raise ParseError(f"group.components[{i}]: unknown family {fam!r}")
         if rank < 1:
             raise ParseError(f"group.components[{i}]: rank must be positive")
+        if rank > MAX_COMPONENT_RANK:
+            raise ParseError(f"group.components[{i}]: rank {rank} exceeds the "
+                             f"limit {MAX_COMPONENT_RANK}")
         components.append(GroupComponent(fam, rank))
 
     nodes = node_names(components)
@@ -128,6 +137,9 @@ def parse(text: str) -> FanDocument:
     lattice_rank = _expect(raw, "lattice_rank", int, "document")
     if lattice_rank < 0:
         raise ParseError("lattice_rank must be nonnegative")
+    if lattice_rank > MAX_LATTICE_RANK:
+        raise ParseError(f"lattice_rank {lattice_rank} exceeds the limit "
+                         f"{MAX_LATTICE_RANK}")
 
     points_raw = _expect(raw, "colour_points", dict, "document")
     for name in points_raw:

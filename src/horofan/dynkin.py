@@ -3,8 +3,9 @@
 A diagram is an undirected decorated graph: edges carry a multiplicity in
 {1, 2, 3} and, when the multiplicity exceeds 1, a marker naming the endpoint
 that is the long root.  That is the minimal data separating the B and C
-series.  Components are recognized structurally (no template search) and
-numbered in the Bourbaki convention:
+series.  Components are recognized by matching them against the standard
+diagrams of `standard_component`, the one place the shapes are encoded,
+which number their nodes in the Bourbaki convention:
 
 * A_n   chain a1 - a2 - ... - an
 * B_n   chain with a double edge at the end, the extreme root short
@@ -162,18 +163,30 @@ def components(d: DynkinData) -> list[frozenset[str]]:
     return out
 
 
-def _branch(adj, centre: str, first: str, within: frozenset[str]) -> list[str]:
-    """Walk the chain starting centre -> first, away from centre."""
-    chain = [first]
-    prev, cur = centre, first
-    while True:
-        nxt = [w for w in adj[cur] if w != prev and w in within]
-        if not nxt:
-            return chain
-        if len(nxt) > 1:
-            raise AssertionError("branch is not a chain")
-        prev, cur = cur, nxt[0]
-        chain.append(cur)
+@lru_cache(maxsize=None)
+def _template(family: str, rank: int):
+    """`standard_component(family, rank)` in the order `component_labels`
+    places it: one step per node, breadth first from index 0.
+
+    Returns the step of each standard index; per step s, the earlier step
+    whose node s is placed next to, the degree of s, and its edges to
+    earlier steps as {step: (multiplicity, whether s is the long end)};
+    and the sorted degrees.
+    """
+    names, es = standard_component(family, rank, "")
+    nbrs: dict[str, dict[str, tuple[int, bool]]] = {v: {} for v in names}
+    for e in es:
+        nbrs[e.a][e.b] = (e.multiplicity, e.long == e.a)
+        nbrs[e.b][e.a] = (e.multiplicity, e.long == e.b)
+    order = names[:1]
+    for v in order:
+        order += [w for w in nbrs[v] if w not in order]
+    step = {v: s for s, v in enumerate(order)}
+    back = [{step[w]: x for w, x in nbrs[v].items() if step[w] < s}
+            for s, v in enumerate(order)]
+    degrees = [len(nbrs[v]) for v in order]
+    return ([step[v] for v in names], [min(b, default=0) for b in back],
+            degrees, back, sorted(degrees))
 
 
 @lru_cache(maxsize=None)
@@ -183,104 +196,49 @@ def component_labels(d: DynkinData, nodes: frozenset[str]) -> tuple[TypeLabel, .
     Empty when the induced decorated graph is not one of A-G.  The induced
     graph must be connected.  Multiple labels appear exactly for diagrams
     with a numbering ambiguity (A_n reversal, B2/C2, D/E automorphisms).
+
+    The subdiagram is matched against `standard_component` of each family
+    admitting rank len(nodes) whose sorted degrees equal its own: index 0
+    goes on a node of its degree, then each later index, in breadth-first
+    order, on an unused neighbour of the node holding its parent, with its
+    degree and exactly its standard edges (multiplicity and long end) to
+    the nodes placed so far.
     """
     if not nodes <= set(d.nodes):
         raise UnknownNode(f"nodes outside the diagram: {sorted(nodes - set(d.nodes))}")
     n = len(nodes)
     if n == 0:
         return ()
-    some = next(iter(nodes))
-    if _reachable(d, some, nodes) != nodes:
+    if _reachable(d, next(iter(nodes)), nodes) != nodes:
         raise ValidationError(f"node set {sorted(nodes)} is not connected")
 
     full_adj = _adjacency(d)
     adj = {v: tuple(w for w in full_adj[v] if w in nodes) for v in nodes}
+    deg = {v: len(ws) for v, ws in adj.items()}
     edge_of = _edge_lookup(d)
-    in_edges = [edge_of[frozenset((a, b))]
-                for a in nodes for b in adj[a] if a < b]
 
-    if n == 1:
-        return (TypeLabel("A", 1, (some,)),)
-    if len(in_edges) != n - 1:
-        return ()  # a cycle: not finite type
-    deg = {v: len(adj[v]) for v in nodes}
-    if max(deg.values()) > 3:
-        return ()
-    forks = sorted(v for v in nodes if deg[v] == 3)
-    if len(forks) > 1:
-        return ()
-    multi = [e for e in in_edges if e.multiplicity > 1]
+    def seen_from(v: str, w: str) -> tuple[int, bool]:
+        e = edge_of[frozenset((v, w))]
+        return e.multiplicity, e.long == v
 
-    labels: list[TypeLabel] = []
-
-    if any(e.multiplicity == 3 for e in multi):
-        if n == 2 and len(multi) == 1:
-            e = multi[0]
-            short = e.b if e.long == e.a else e.a
-            labels.append(TypeLabel("G", 2, (short, e.long)))
-        return tuple(labels)
-
-    if len(multi) > 1:
-        return ()
-
-    if len(multi) == 1:
-        if forks:
-            return ()
-        e = multi[0]
-        ends = sorted(v for v in nodes if deg[v] == 1)
-        seqs = [[end] + _branch(adj, end, adj[end][0], nodes)
-                for end in ends] if n > 2 else [[ends[0], ends[1]], [ends[1], ends[0]]]
-        for seq in seqs:
-            i = next(k for k in range(n - 1)
-                     if frozenset((seq[k], seq[k + 1])) == e.ends())
-            if i == n - 2:
-                family = "B" if e.long == seq[-2] else "C"
-                labels.append(TypeLabel(family, n, tuple(seq)))
-            elif n == 4 and i == 1 and e.long == seq[1]:
-                labels.append(TypeLabel("F", 4, tuple(seq)))
-        return tuple(sorted(labels, key=lambda l: (l.family, l.nodes_by_index)))
-
-    # single edges only
-    if not forks:
-        ends = sorted(v for v in nodes if deg[v] == 1)
-        for end in ends:
-            seq = [end] + _branch(adj, end, adj[end][0], nodes)
-            labels.append(TypeLabel("A", n, tuple(seq)))
-        return tuple(sorted(set(labels), key=lambda l: l.nodes_by_index))
-
-    c = forks[0]
-    branches = sorted((_branch(adj, c, w, nodes) for w in adj[c]),
-                      key=lambda br: (len(br), br))
-    lens = tuple(len(br) for br in branches)
-
-    if lens[0] == 1 and lens[1] == 1:
-        # D_n: any length-1 branch may serve as the start of the chain when
-        # the chain itself has length 1 (that is D4, fully symmetric).
-        rank = lens[2] + 3
-        for chain_idx in range(3):
-            if len(branches[chain_idx]) != lens[2]:
+    labels = []
+    for family in FAMILIES:
+        if not _STANDARD_RANKS[family](n):
+            continue
+        step_of, anchor, degrees, back, degree_seq = _template(family, n)
+        if sorted(deg.values()) != degree_seq:
+            continue
+        stack = [(v,) for v in nodes if deg[v] == degrees[0]]
+        while stack:
+            at = stack.pop()  # at[s] is the node placed at step s
+            s = len(at)
+            if s == n:
+                labels.append(TypeLabel(family, n, tuple(at[t] for t in step_of)))
                 continue
-            rest = [branches[k] for k in range(3) if k != chain_idx]
-            if any(len(br) != 1 for br in rest):
-                continue
-            for r0, r1 in (rest, rest[::-1]):
-                seq = list(reversed(branches[chain_idx])) + [c, r0[0], r1[0]]
-                labels.append(TypeLabel("D", rank, tuple(seq)))
-        return tuple(sorted(set(labels), key=lambda l: l.nodes_by_index))
-
-    if lens in ((1, 2, 2), (1, 2, 3), (1, 2, 4)):
-        rank = n
-        twos = [br for br in branches if len(br) == 2]
-        longs = [br for br in branches if br is not branches[0] and br not in twos]
-        # E6 swaps its two length-2 branches; E7/E8 are rigid.
-        options = [(twos[0], twos[1]), (twos[1], twos[0])] if lens == (1, 2, 2) \
-            else [(twos[0], branches[2])]
-        for near_branch, far_branch in options:
-            seq = [near_branch[1], branches[0][0], near_branch[0], c] + list(far_branch)
-            labels.append(TypeLabel("E", rank, tuple(seq)))
-        return tuple(sorted(set(labels), key=lambda l: l.nodes_by_index))
-
-    return ()
+            stack += [at + (v,) for v in adj[at[anchor[s]]]
+                      if v not in at and deg[v] == degrees[s] and back[s] ==
+                      {at.index(w): seen_from(v, w) for w in adj[v] if w in at}]
+    return tuple(sorted(labels, key=lambda l: (l.family, l.nodes_by_index)))
 
 
 def recognize_type(d: DynkinData, component, first: str | None = None) -> TypeLabel:

@@ -95,12 +95,16 @@ class ColouredFan:
                            tuple(sorted(self.cones, key=_sort_key(self.lattice))))
 
     def maximal_cones(self) -> tuple[ColouredCone, ...]:
-        out = []
-        for m in self.cones:
-            if not any(o.cone != m.cone and pc.is_face_of(m.cone, o.cone)
-                       for o in self.cones):
-                out.append(m)
-        return tuple(out)
+        """Members whose ray set is no proper subset of another member's.
+
+        In a fan that is being no proper face of another member: if
+        rays(s) ⊊ rays(t) then s ⊆ t, so s = s ∩ t, which is a face of t
+        because members of a fan meet in a common face; and a proper face
+        of t is spanned by a proper subset of t's rays.
+        """
+        ray_sets = [frozenset(m.cone.rays) for m in self.cones]
+        return tuple(m for m, r in zip(self.cones, ray_sets)
+                     if not any(r < o for o in ray_sets))
 
     def ray_members(self) -> tuple[ColouredCone, ...]:
         return tuple(m for m in self.cones if m.cone.dim == 1)

@@ -73,29 +73,39 @@ def _check_rectangular(rows: list[list[int]]) -> int:
     return ncols
 
 
-def rank_of(vs) -> int:
-    """Rank over the rationals of a multiset of integer vectors.
+def _bareiss(vs) -> tuple[int, int, list[list[int]]]:
+    """Fraction-free Bareiss elimination: all intermediate entries stay integral.
 
-    Fraction-free Bareiss elimination: all intermediate entries stay integral.
+    Returns the rank, the sign of the row permutation, and the eliminated
+    rows.  Each pivot is a leading minor of the permuted rows, so for a
+    square matrix of full rank the last pivot is sign * determinant.
     """
     M = [list(map(int, v)) for v in vs]
     ncols = _check_rectangular(M)
     row = 0
     piv = 1
+    sign = 1
     for col in range(ncols):
+        if row == len(M):
+            break
         sel = next((i for i in range(row, len(M)) if M[i][col] != 0), None)
         if sel is None:
             continue
-        M[row], M[sel] = M[sel], M[row]
+        if sel != row:
+            M[row], M[sel] = M[sel], M[row]
+            sign = -sign
         for i in range(row + 1, len(M)):
             for j in range(col + 1, ncols):
                 M[i][j] = (M[i][j] * M[row][col] - M[i][col] * M[row][j]) // piv
             M[i][col] = 0
         piv = M[row][col]
         row += 1
-        if row == len(M):
-            break
-    return row
+    return row, sign, M
+
+
+def rank_of(vs) -> int:
+    """Rank over the rationals of a multiset of integer vectors (Bareiss)."""
+    return _bareiss(vs)[0]
 
 
 def is_linearly_independent(vs) -> bool:
@@ -106,27 +116,12 @@ def is_linearly_independent(vs) -> bool:
 
 def determinant(A: Mat) -> int:
     """Exact determinant of a square integer matrix (Bareiss)."""
-    M = [list(map(int, row)) for row in A]
-    n = _check_rectangular(M)
-    if len(M) != n:
+    rank, sign, M = _bareiss(A)
+    if any(len(row) != len(M) for row in M):
         raise DimensionMismatch("determinant of a non-square matrix")
-    if n == 0:
+    if not M:
         return 1
-    sign = 1
-    piv = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            sel = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if sel is None:
-                return 0
-            M[k], M[sel] = M[sel], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // piv
-            M[i][k] = 0
-        piv = M[k][k]
-    return sign * M[n - 1][n - 1]
+    return sign * M[-1][-1] if rank == len(M) else 0
 
 
 class _SnfState:

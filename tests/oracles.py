@@ -4,9 +4,11 @@ Each oracle deliberately avoids the code path it checks: cone membership
 uses Caratheodory subsets with exact rational solves, invariant factors use
 the gcd-of-minors formula, dim-3 facets use cross products, extreme rays of
 halfspace systems use every subset of k - 1 rows, and diagram
-recognition matches decorated graphs against templates by permutation
-search.  `snf_diagonal` is no oracle: it reads the library's Smith normal
-form, for the tests that compare it with one.
+recognition, down to the numbering, matches decorated graphs against
+`standard_component` by permutation search (the library searches along
+edges; the templates themselves are pinned by explicit-edge tests).
+`snf_diagonal` is no oracle: it reads the library's Smith normal form, for
+the tests that compare it with one.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from horofan import dynkin as dk
+from horofan.errors import UnknownDiagram
 from horofan.lattice import Mat, Vec, dot, smith_normal_form
 
 
@@ -242,6 +245,29 @@ def template_matches(d: dk.DynkinData, nodes: frozenset[str]
             if ok:
                 out.add((family, rank))
                 break
+    return out
+
+
+def numbering_oracle(d: dk.DynkinData, nodes: frozenset[str]
+                     ) -> set[tuple[str, int, tuple[str, ...]]]:
+    """Every (family, rank, numbering) under which the induced decorated
+    graph is the standard diagram of that family and rank, by trying every
+    bijection (rank <= 5); numbering[i] is the node numbered i + 1."""
+    sub_edges = {pair: data for pair, data in _edge_map(d).items()
+                 if pair <= nodes}
+    out = set()
+    for family in dk.FAMILIES:
+        try:
+            t_nodes, t_edges = dk.standard_component(family, len(nodes), "t")
+        except UnknownDiagram:
+            continue
+        for perm in permutations(sorted(nodes)):
+            phi = dict(zip(t_nodes, perm))  # template node -> our node
+            mapped = {frozenset((phi[e.a], phi[e.b])):
+                      (e.multiplicity, phi[e.long] if e.long else None)
+                      for e in t_edges}
+            if mapped == sub_edges:
+                out.add((family, len(nodes), perm))
     return out
 
 

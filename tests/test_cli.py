@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -169,6 +172,39 @@ def test_golden_commands_cover_frozen_outputs():
     assert frozen == {f"{n}.{c[0]}.out" for n, c in GOLDEN_COMMANDS}
 
 
+_RUN_GOLDENS = """
+import contextlib, io, json, sys
+from horofan import cli
+out = {}
+for name, verb, *extra in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.main([verb, f"{sys.argv[2]}/{name}.json", *extra, "--format", "machine"])
+    out[f"{name}.{verb}"] = buf.getvalue()
+print(json.dumps(out))
+"""
+
+
+def test_golden_bytes_do_not_depend_on_hash_seed():
+    # the iteration order of a set of strings follows PYTHONHASHSEED; the
+    # machine output must not
+    commands = [[name, *command] for name, command in GOLDEN_COMMANDS
+                if command[0] in ("classify", "cox", "local")]
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    outputs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _RUN_GOLDENS,
+                               json.dumps(commands), str(GOLDENS)],
+                              env=env, capture_output=True, text=True, check=True)
+        outputs.append(json.loads(done.stdout))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == len(commands)
+    for key, text in outputs[0].items():
+        assert text.encode() == (FROZEN / f"{key}.out").read_bytes(), key
+
+
 def _assert_parse_error(capsys, path):
     code, rep, _ = machine(capsys, "classify", path)
     assert code == cli.EXIT_PARSE
@@ -211,3 +247,37 @@ def test_rank8_cyclic_cone_classifies():
         assert rep["verdict"] == {"q_factorial": False, "factorial": False,
                                   "smooth": False, "quotient_singularities": False,
                                   "toroidal": True}
+
+
+def _torus_doc(rank):
+    return {"group": {"components": [], "torus_rank": rank}, "parabolic": [],
+            "lattice_rank": rank, "colour_points": {}, "cones": []}
+
+
+def _a_chain_doc(rank):
+    # one colour, A<rank>.1; every other node parabolic
+    return {"group": {"components": [{"family": "A", "rank": rank}], "torus_rank": 0},
+            "parabolic": [f"A{rank}.{i}" for i in range(2, rank + 1)],
+            "lattice_rank": 1, "colour_points": {f"A{rank}.1": [1]},
+            "cones": [{"rays": [[1]], "colours": [f"A{rank}.1"]}]}
+
+
+@pytest.mark.parametrize("make,cap", [(_torus_doc, docmod.MAX_LATTICE_RANK),
+                                      (_a_chain_doc, docmod.MAX_COMPONENT_RANK)],
+                         ids=["lattice_rank", "component_rank"])
+def test_caps_at_the_document_boundary(tmp_path, capsys, make, cap):
+    at_cap = tmp_path / "at_cap.json"
+    at_cap.write_text(json.dumps(make(cap)))
+    code, rep, _ = machine(capsys, "classify", at_cap)
+    assert code == cli.EXIT_OK
+    assert rep["verdict"]["quotient_singularities"]
+
+    past = tmp_path / "past_cap.json"
+    past.write_text(json.dumps(make(cap + 1)))
+    code, rep, _ = machine(capsys, "classify", past)
+    assert code == cli.EXIT_PARSE
+    assert rep["error"]["code"] == "ParseError"
+    assert f"exceeds the limit {cap}" in rep["error"]["message"]
+    code, out, err = run_cli(capsys, "classify", past)
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err.startswith("error[ParseError]:")

@@ -1,13 +1,13 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from horofan import dynkin as dk
 from horofan.errors import (BadEdge, BadParabolic, UnknownColour,
-                            UnknownDiagram, UnknownNode)
+                            UnknownDiagram, UnknownNode, ValidationError)
 
-from oracles import example_A_rule, template_matches
+from oracles import example_A_rule, numbering_oracle, template_matches
 
 
 def diagram(spec_list, parabolic=(), torus_rank=0):
@@ -199,3 +199,44 @@ def test_torus_factors_are_inert():
     assert dk.vivid_colour_ok(d0, {"A3.2"}, "A3.2") \
         == dk.vivid_colour_ok(d2, {"A3.2"}, "A3.2")
     assert dk.is_projective_space_product(d0) == dk.is_projective_space_product(d2)
+
+
+def _random_decorated_graph(rng, n):
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    # a random tree keeps most graphs connected; extra edges make cycles
+    pairs = {(rng.randrange(j), j) for j in range(1, n) if rng.random() < 0.85}
+    pairs |= {(i, j) for j in range(n) for i in range(j)
+              if rng.random() < rng.choice((0.1, 0.2, 0.4))}
+    edges = []
+    for i, j in sorted(pairs):
+        a, b = sorted((names[i], names[j]))
+        m = rng.choices((1, 2, 3), (6, 2, 1))[0]
+        edges.append(dk.DynkinEdge(a, b, m, rng.choice((a, b)) if m > 1 else None))
+    return dk.DynkinData(tuple(names), tuple(sorted(edges, key=lambda e: (e.a, e.b))))
+
+
+def test_numberings_match_permutation_oracle():
+    # on every connected induced subdiagram, every label and no other is a
+    # bijection onto a standard diagram
+    rng = random.Random(29)
+    found = {}
+    for _ in range(400):
+        d = _random_decorated_graph(rng, rng.randint(1, 5))
+        for k in range(1, len(d.nodes) + 1):
+            for sub in combinations(d.nodes, k):
+                sub = frozenset(sub)
+                try:
+                    labels = dk.component_labels(d, sub)
+                except ValidationError:  # not connected
+                    assert not numbering_oracle(d, sub)
+                    continue
+                assert {(l.family, l.rank, l.nodes_by_index) for l in labels} \
+                    == numbering_oracle(d, sub)
+                assert list(labels) == sorted(labels, key=lambda l: (l.family,
+                                                                     l.nodes_by_index))
+                for l in labels or [None]:
+                    key = l and (l.family, l.rank)
+                    found[key] = found.get(key, 0) + 1
+    assert found[None] > 100  # cycles, and edges no standard diagram has
+    assert {("B", 4), ("C", 5), ("D", 4), ("D", 5), ("F", 4), ("G", 2)} <= set(found)

@@ -175,3 +175,21 @@ def test_maps_build_what_validation_builds():
         T = S.random_unimodular(rng, fan.lattice.rank)
         _same_as_validated(S.transform_fan(fan, T))
         assert F.ColouredFan(fan.lattice, reversed(fan.cones)) == fan
+
+
+def test_maximal_cones_are_no_proper_faces():
+    # maximal_cones compares ray sets; in a fan that agrees with the face
+    # relation of the cones themselves
+    rng = random.Random(77)
+    for i in range(30):
+        d = S.random_diagram(rng)
+        fan = S.random_coloured_fan(rng, d, rng.randint(1, 4),
+                                    n_hyperplanes=rng.randint(1, 3),
+                                    max_cells=None if i % 2 else 3,
+                                    complete=i % 5 == 0)
+        if i % 3 == 0:
+            fan = S.embed_with_torus_factor(rng, fan, 1)
+        by_faces = tuple(m for m in fan.cones
+                         if not any(o.cone != m.cone and pc.is_face_of(m.cone, o.cone)
+                                    for o in fan.cones))
+        assert fan.maximal_cones() == by_faces
