@@ -22,7 +22,7 @@ from .dynkin import DynkinData, DynkinEdge, TypeLabel, connected_component, \
 from .fans import ColouredCone, ColouredFan, ColouredLattice, coloured_face, \
     coloured_rays, validate_fan
 from .lattice import FGAbelianGroup, cokernel_structure, extends_to_Z_basis, \
-    is_linearly_independent, rank_of, saturate, smith_normal_form
+    rank_of, smith_normal_form
 from .local import LocalModel, affine_local, decolour
 
 __version__ = "0.1.0"
@@ -37,10 +37,9 @@ __all__ = [
     "coloured_face", "coloured_rays", "cone_from_generators",
     "connected_component", "contains", "cox_consistency", "cox_construct",
     "decolour", "extends_to_Z_basis", "extreme_rays", "faces", "has_torus_factors",
-    "intersect", "is_face_of", "is_linearly_independent",
-    "is_projective_space_product", "is_regular", "is_simplicial", "is_vivid",
-    "parse", "primitive", "rank_of", "recognize_type", "render", "saturate",
-    "simplicial_multiset", "smith_normal_form", "standard_diagram",
-    "torus_split", "validate_diagram", "validate_fan", "vivid_colour_ok",
-    "zero_cone",
+    "intersect", "is_face_of", "is_projective_space_product", "is_regular",
+    "is_simplicial", "is_vivid", "parse", "primitive", "rank_of",
+    "recognize_type", "render", "simplicial_multiset", "smith_normal_form",
+    "standard_diagram", "torus_split", "validate_diagram", "validate_fan",
+    "vivid_colour_ok", "zero_cone",
 ]

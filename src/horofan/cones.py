@@ -5,24 +5,24 @@ normals and equations (linear forms vanishing exactly on its span):
 
     sigma = {x : <n, x> >= 0 for every normal n, <e, x> == 0 for every e}
 
-All arithmetic is integral.  One double-description routine,
-`extreme_rays`, converts between the two descriptions: it turns a halfspace
-system into extreme rays (used by `intersect`), and, applied to the dual
-system {y : <y, g> >= 0} in coordinates of the generators' span, it turns
-generators into facet normals; the SNF behind those coordinates also gives
-the equations.  Adjacency of rays, and extremality of generators, are read
-off bitmasks of the rows (normals) they lie on, with no rank computed.
-Faces are derived from their parent without another conversion: the
-facets' ray sets, as bitmasks over the parent's rays, are closed under
-intersection, and each face keeps one parent normal per facet of its own.
-Rays are primitive and lexicographically sorted, and equality is equality
-of ray sets; normals and equations are not canonical.
+All arithmetic is integral.  One double description, `extreme_rays`,
+started from R^k, returns extreme rays with bitmasks of the rows vanishing
+on them.  On the dual system {y : <y, g> >= 0}, in coordinates of the
+generators' span (whose SNF gives the equations), it yields the facet
+normals, and their masks tell which generators are extreme and whether the
+cone holds a line.  `intersect` runs it once on both cones' normals in a
+basis of the common span and reads equations and facets off the masks.
+Faces are derived from their parent: the facets' ray sets, as bitmasks
+over the parent's rays, are closed under intersection, and each face keeps
+one parent normal per facet of its own.  Rays are primitive and sorted;
+equality is equality of ray sets; normals and equations are not canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 
 from . import lattice
 from .errors import DimensionMismatch, NotStronglyConvex, ZeroVector
@@ -38,11 +38,11 @@ class Cone:
     """Rays, one normal per facet, dim (the rank of the rays, stored), and
     equations generating the linear forms that vanish on span(rays).
 
-    A face from `faces` keeps its parent's normals, and a redundant set of
-    equations, which may differ from those of `cone_from_generators(face.rays)`
-    by forms vanishing on the face's span; neither choice is canonical, so
-    equality and hash read the rays only.  `contains` and `intersect` test
-    the span with the equations and read the normals only on it.
+    Faces from `faces` and results of `intersect` keep their parents'
+    normals and redundant equations, which may differ from those of
+    `cone_from_generators(rays)` by forms vanishing on the span; neither is
+    canonical, so equality and hash read the rays only.  `contains` and
+    `intersect` test the span with the equations and read the normals on it.
     """
 
     ambient_rank: int
@@ -93,25 +93,23 @@ def cone_from_generators(gens, ambient_rank: int) -> Cone:
 
     _, coords, Binv = lattice.span_coordinates(prims, ambient_rank)
     d = len(coords[0])
-    # the facet normals are the extreme rays of the dual cone; it is
-    # full-dimensional exactly when the cone contains no line
+    # the facet normals are the extreme rays of the dual cone, each with the
+    # generators it vanishes on; the cone holds a line iff there is none (the
+    # cone is the whole span) or some generator lies on all of them
     normals_d = extreme_rays(coords, d)
-    if rank_of(normals_d) != d:
+    full = (1 << len(prims)) - 1
+    if not normals_d or reduce(and_, normals_d.values(), full):
         raise NotStronglyConvex("the generators span a cone containing a line")
 
-    # a generator is extreme iff no other generator lies on every facet it
-    # lies on (the face those facets cut out is then its own ray)
-    masks = [sum(1 << i for i, n in enumerate(normals_d) if dot(n, c) == 0)
-             for c in coords]
-    rays = tuple(sorted(g for g, z in zip(prims, masks)
-                        if sum(y & z == z for y in masks) == 1))
+    # a generator is extreme iff the facets it lies on cut out its own ray
+    rays = tuple(g for i, g in enumerate(prims)
+                 if reduce(and_, (z for z in normals_d.values() if z >> i & 1),
+                           full) == 1 << i)
 
-    amb_normals = []
-    for n in normals_d:
-        padded = tuple(n) + (0,) * (ambient_rank - d)
-        amb_normals.append(lattice.mat_vec(Binv, padded))
+    pad = (0,) * (ambient_rank - d)
+    amb_normals = sorted(lattice.mat_vec(Binv, n + pad) for n in normals_d)
     # x @ Binv has zero entries from d on exactly when x is in the span
-    return Cone(ambient_rank, rays, tuple(sorted(amb_normals)), d,
+    return Cone(ambient_rank, rays, tuple(amb_normals), d,
                 lattice.transpose(Binv)[d:])
 
 
@@ -176,46 +174,39 @@ def is_face_of(t: Cone, c: Cone) -> bool:
     return t in faces(c)
 
 
-def extreme_rays(rows, k: int) -> list[Vec]:
-    """Primitive extreme rays, sorted, of {x in R^k : row @ x >= 0 for all rows}.
+def extreme_rays(rows, k: int) -> dict[Vec, int]:
+    """Primitive extreme rays of {x in R^k : row @ x >= 0 for all rows}, each
+    mapped to the bitmask of the row positions that vanish on it.
 
-    Incremental double description (Fukuda & Prodon 1996): start from a
-    simplicial subsystem of full rank and insert the remaining halfspaces
-    one at a time, combining positive/negative rays that are adjacent.  The
-    test is combinatorial: each ray keeps a bitmask of the inserted rows it
-    lies on, and rp, rm are adjacent iff their common mask z (which cuts out
-    the smallest face holding both) has at least k - 2 bits and no third
-    ray's mask contains z.  The rows must have rank k (that is exactly
-    pointedness of the cone).  Applied to the generators of a
-    full-dimensional cone as rows, it returns the dual cone's extreme rays:
-    the facet normals.
+    Incremental double description (Fukuda & Prodon 1996) from R^k: the cone
+    is cone(rays) + span(lin), and the rows so far vanish on lin.  A row
+    nonzero on lin makes one p in lin, oriented to pair positively with it,
+    a ray, and moves the rest along p onto its hyperplane.  Any other row
+    keeps the rays it does not cut and combines each adjacent
+    positive/negative pair: rp, rm are adjacent iff z = mask(rp) & mask(rm)
+    has at least k - len(lin) - 2 bits and no third ray's mask contains z
+    (the smallest face holding both).  Zero and repeated rows only set bits.
+    Lineality left at the end raises NotStronglyConvex.  On the generators
+    of a full-dimensional cone it returns the facet normals.
     """
-    if k == 0:
-        return []
-    base: list[Vec] = []
-    rest: list[Vec] = []
-    for r in dict.fromkeys(rows):
-        if not any(r):
-            continue
-        if len(base) < k and rank_of(base + [r]) > len(base):
-            base.append(r)
-        else:
-            rest.append(r)
-    if len(base) < k:
-        raise NotStronglyConvex("halfspace system with a lineality space")
-
-    # U @ base @ V == D, so column j of V @ diag(last / d_i) @ U = last * base^-1
-    # is orthogonal to every base row but row j, and pairs positively with it
-    U, D, V = lattice.smith_normal_form(base)
-    last = D[k - 1][k - 1]
-    scaled = tuple(tuple(x * (last // D[i][i]) for i, x in enumerate(row)) for row in V)
-    cols = lattice.transpose(lattice.mat_mul(scaled, U))
-    full = (1 << k) - 1
-    zs = {primitive(col): full & ~(1 << j) for j, col in enumerate(cols)}
-
-    for i, m in enumerate(rest, k):
+    lin = list(lattice.identity(k))
+    zs: dict[Vec, int] = {}
+    for i, m in enumerate(rows):
         bit = 1 << i
         vals = {r: dot(m, r) for r in zs}
+        on_lin = [dot(m, v) for v in lin]
+        if any(on_lin):
+            j = min((j for j, x in enumerate(on_lin) if x), key=lambda j: abs(on_lin[j]))
+            a, p = on_lin.pop(j), lin.pop(j)
+            if a < 0:
+                a, p = -a, tuple(-x for x in p)
+            # v - (m @ v / a) * p, scaled by a > 0, lies on the hyperplane
+            lin = [primitive([a * y - x * q for y, q in zip(v, p)])
+                   for v, x in zip(lin, on_lin)]
+            zs = {primitive([a * y - vals[r] * q for y, q in zip(r, p)]): z | bit
+                  for r, z in zs.items()}
+            zs[p] = bit - 1  # p lies on every earlier row
+            continue
         plus = [r for r in zs if vals[r] > 0]
         minus = [r for r in zs if vals[r] < 0]
         new = {r: z | bit if vals[r] == 0 else z
@@ -224,20 +215,22 @@ def extreme_rays(rows, k: int) -> list[Vec]:
             for rm in minus:
                 zp, zm = zs[rp], zs[rm]
                 z = zp & zm
-                if z.bit_count() < k - 2 or any(
+                if z.bit_count() < k - len(lin) - 2 or any(
                         y & z == z and y != zp and y != zm for y in zs.values()):
                     continue  # not adjacent in the current cone
                 comb = tuple(vals[rp] * b - vals[rm] * a for a, b in zip(rp, rm))
                 new[primitive(comb)] = z | bit
         zs = new
-        if not zs:
-            break
-    return sorted(zs)
+    if lin:
+        raise NotStronglyConvex("halfspace system with a lineality space")
+    return zs
 
 
 @lru_cache(maxsize=None)
 def intersect(a: Cone, b: Cone) -> Cone:
-    """The cone a ∩ b: the combined facet systems in a basis W of the common span."""
+    """The cone a ∩ b, from one double description of both facet systems in a
+    basis W of the common span: the normals vanishing on all its rays are
+    equations, and each maximal zero set of the others over the rays is a facet."""
     if a.ambient_rank != b.ambient_rank:
         raise DimensionMismatch("cones in different ambient lattices")
     n = a.ambient_rank
@@ -247,11 +240,18 @@ def intersect(a: Cone, b: Cone) -> Cone:
         return zero_cone(n)
 
     W = lattice.kernel_basis(a.equations + b.equations, n)
-    k = len(W)
-    if k == 0:
+    normals = a.facet_normals + b.facet_normals
+    rays_w = extreme_rays([tuple(dot(nv, w) for w in W) for nv in normals], len(W))
+    if not rays_w:
         return zero_cone(n)
-
-    rays_w = extreme_rays([tuple(dot(nv, w) for w in W)
-                           for nv in a.facet_normals + b.facet_normals], k)
-    rays_amb = [lattice.vec_mat(r, W) for r in rays_w]
-    return cone_from_generators(rays_amb, n)
+    # W spans a saturated lattice, so primitive coordinates give primitive rays
+    found = sorted((lattice.vec_mat(r, W), z) for r, z in rays_w.items())
+    rays = tuple(r for r, _ in found)
+    every = (1 << len(rays)) - 1
+    zeros = [sum(1 << t for t, (_, z) in enumerate(found) if z >> j & 1)
+             for j in range(len(normals))]
+    by_zeros = {s: nv for s, nv in zip(zeros, normals) if s != every}
+    facets = sorted(nv for s, nv in by_zeros.items()
+                    if not any(s != y and s & y == s for y in by_zeros))
+    return Cone(n, rays, tuple(facets), rank_of(rays), a.equations + b.equations
+                + tuple(nv for nv, s in zip(normals, zeros) if s == every))

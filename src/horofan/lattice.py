@@ -108,12 +108,6 @@ def rank_of(vs) -> int:
     return _bareiss(vs)[0]
 
 
-def is_linearly_independent(vs) -> bool:
-    """True iff the multiset is R-linearly independent (repeats always fail)."""
-    vs = list(vs)
-    return rank_of(vs) == len(vs)
-
-
 def determinant(A: Mat) -> int:
     """Exact determinant of a square integer matrix (Bareiss)."""
     rank, sign, M = _bareiss(A)
@@ -301,11 +295,6 @@ def saturation_with_extension(vs, ncols: int | None = None) -> tuple[Mat, Mat]:
     _, D, V, Vinv = _snf(vs, len(vs), n, v=True, vinv=True)
     r = sum(1 for i in range(min(len(vs), n)) if D[i][i])
     return Vinv[:r], V
-
-
-def saturate(vs, ncols: int | None = None) -> Mat:
-    """Z-basis of the saturated sublattice (span_Q(vs) ∩ Z^n)."""
-    return saturation_with_extension(vs, ncols)[0]
 
 
 def span_coordinates(vs, ncols: int) -> tuple[Mat, Mat, Mat]:

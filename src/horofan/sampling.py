@@ -80,11 +80,8 @@ def arrangement_cells(rng: random.Random, rank: int,
     cells: list[pc.Cone] = []
     for signs in product((1, -1), repeat=len(normals)):
         rows = [tuple(s * x for x in n) for s, n in zip(signs, normals)]
-        rays = pc.extreme_rays(rows, rank)
-        if lattice.rank_of(rays) != rank:
-            continue
-        cell = pc.cone_from_generators(rays, rank)
-        if cell not in cells:
+        cell = pc.cone_from_generators(pc.extreme_rays(rows, rank), rank)
+        if cell.dim == rank and cell not in cells:
             cells.append(cell)
     return cells
 

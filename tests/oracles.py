@@ -7,8 +7,9 @@ halfspace systems use every subset of k - 1 rows, and diagram
 recognition, down to the numbering, matches decorated graphs against
 `standard_component` by permutation search (the library searches along
 edges; the templates themselves are pinned by explicit-edge tests).
-`snf_diagonal` is no oracle: it reads the library's Smith normal form, for
-the tests that compare it with one.
+`snf_diagonal` and `linearly_independent` are no oracles: they read the
+library's Smith normal form and rank, for the tests that compare them with
+one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import combinations, permutations
 
 from horofan import dynkin as dk
 from horofan.errors import UnknownDiagram
-from horofan.lattice import Mat, Vec, dot, smith_normal_form
+from horofan.lattice import Mat, Vec, dot, rank_of, smith_normal_form
 
 
 # --- exact rational linear solve -------------------------------------------
@@ -203,6 +204,12 @@ def snf_diagonal(A) -> tuple[int, ...]:
     """Nonzero diagonal entries of `smith_normal_form(A)`, in chain order."""
     _, D, _ = smith_normal_form(A)
     return tuple(D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i])
+
+
+def linearly_independent(vs) -> bool:
+    """True iff the multiset is R-linearly independent (repeats always fail)."""
+    vs = list(vs)
+    return rank_of(vs) == len(vs)
 
 
 # --- dynkin template matching ----------------------------------------------

@@ -192,12 +192,71 @@ def _halfspace_systems(draw):
 def test_extreme_rays_match_halfspace_oracle(system):
     rows, k = system
     assume(rank_of(rows) == k)
-    assert pc.extreme_rays(rows, k) == extreme_rays_oracle(rows, k)
+    got = pc.extreme_rays(rows, k)
+    assert sorted(got) == extreme_rays_oracle(rows, k)
+    for r, mask in got.items():
+        assert mask == sum(1 << i for i, row in enumerate(rows)
+                           if lattice.dot(row, r) == 0)
+
+
+def _assert_matches_rebuilt(t, points):
+    # t must behave exactly like the cone rebuilt from its rays
+    g = pc.cone_from_generators(t.rays, t.ambient_rank)
+    assert t == g and t.dim == rank_of(t.rays) == g.dim
+    assert len(t.facet_normals) == len(g.facet_normals)
+    _assert_span_equations(t)  # a redundant generating set
+    # the ray sum is relatively interior; differences of rays lie in the
+    # span, mostly outside the cone
+    in_span = [tuple(map(sum, zip(*t.rays)))] if t.rays else []
+    in_span += [tuple(a - b for a, b in zip(r, s))
+                for r in t.rays for s in t.rays if r != s]
+    for p in points + in_span:
+        assert pc.contains(t, p) == pc.contains(g, p)
+    assert [(h.dim, h.rays) for h in pc.faces(t)] \
+        == [(h.dim, h.rays) for h in pc.faces(g)]
+
+
+def _random_cone_pair(rng, dim):
+    kind = rng.randrange(5)
+    if kind == 0:  # two full-dimensional cones, the second reflected
+        a = _random_pointed_gens(rng, dim, rng.randint(2, 6))
+        count = rng.randint(2, 6)
+        signs = [rng.choice((1, -1)) for _ in range(dim)]
+        b = [tuple(e * x for e, x in zip(signs, v))
+             for v in _random_pointed_gens(rng, dim, count)]
+    elif kind == 1:  # a cone in a random sub-span, and one in the same
+        # sub-span or a full-dimensional one; all have positive last entries
+        s = rng.randint(1, dim - 1)
+        while rank_of(B := _random_pointed_gens(rng, dim, s)) < s:
+            pass
+
+        def in_span(count):
+            coeffs = [tuple(rng.randint(0, 3) for _ in range(s - 1)) + (rng.randint(1, 3),)
+                      for _ in range(count)]
+            return [lattice.vec_mat(c, B) for c in coeffs]
+        a = in_span(rng.randint(1, 5))
+        b = in_span(rng.randint(1, 5)) if rng.random() < 0.5 \
+            else _random_pointed_gens(rng, dim, rng.randint(2, 6))
+    elif kind == 2:  # cones sharing rays
+        a = list(pc.cone_from_generators(
+            _random_pointed_gens(rng, dim, rng.randint(2, 6)), dim).rays)
+        b = rng.sample(a, rng.randint(1, len(a))) \
+            + _random_pointed_gens(rng, dim, rng.randint(0, 3))
+    elif kind == 3:  # two faces of one cone
+        fs = pc.faces(pc.cone_from_generators(
+            _random_pointed_gens(rng, dim, rng.randint(2, 7)), dim))
+        return rng.choice(fs), rng.choice(fs)
+    else:  # a zero cone
+        a, b = [], _random_pointed_gens(rng, dim, rng.randint(1, 5))
+    pair = [pc.cone_from_generators(a, dim), pc.cone_from_generators(b, dim)]
+    rng.shuffle(pair)
+    return pair
 
 
 def test_derived_faces_match_rebuilt_cones():
-    # faces keep their parent's normals instead of being rebuilt; they must
-    # behave exactly like the cone rebuilt from their rays
+    # faces keep their parent's normals, and intersections read theirs off
+    # the double description, instead of being rebuilt; they must behave
+    # exactly like the cone rebuilt from their rays
     rng = random.Random(31)
     for _ in range(40):
         dim = rng.randint(2, 5)
@@ -206,46 +265,55 @@ def test_derived_faces_match_rebuilt_cones():
         points = list(c.rays) + [tuple(-x for x in r) for r in c.rays]
         points += [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(8)]
         for f in pc.faces(c):
-            g = pc.cone_from_generators(f.rays, dim)
-            assert f == g and f.dim == rank_of(f.rays) == g.dim
-            assert len(f.facet_normals) == len(g.facet_normals)
-            _assert_span_equations(f)  # a redundant generating set
-            # the ray sum is relatively interior; differences of rays lie in
-            # the span, mostly outside the face
-            in_span = [tuple(map(sum, zip(*f.rays)))] if f.rays else []
-            in_span += [tuple(a - b for a, b in zip(r, s))
-                        for r in f.rays for s in f.rays if r != s]
-            for p in points + in_span:
-                assert pc.contains(f, p) == pc.contains(g, p)
-            assert [(h.dim, h.rays) for h in pc.faces(f)] \
-                == [(h.dim, h.rays) for h in pc.faces(g)]
+            _assert_matches_rebuilt(f, points)
+
+    rng = random.Random(37)
+    for _ in range(150):
+        dim = rng.randint(2, 5)
+        a, b = _random_cone_pair(rng, dim)
+        t = pc.intersect(a, b)
+        points = list(a.rays + b.rays + t.rays) + [tuple(-x for x in r) for r in t.rays]
+        points += [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(8)]
+        _assert_matches_rebuilt(t, points)
+        for p in points:  # and t is a ∩ b
+            in_both = pc.contains(a, p) != pc.OUTSIDE and pc.contains(b, p) != pc.OUTSIDE
+            assert (pc.contains(t, p) != pc.OUTSIDE) == in_both
 
 
 def test_work_counts_of_intersect_and_contains(monkeypatch):
     # machine-independent: intersect finds the common span with one kernel
-    # SNF over the stored equations, and contains tests the span with no rank
+    # SNF over the stored equations and converts once, with no second
+    # cone_from_generators; contains tests the span with no rank, and
+    # cone_from_generators reads lines and extreme rays off the masks
     a = pc.cone_from_generators([(1, 0, 0, 0), (0, 1, 0, 0)], 4)
     b = pc.cone_from_generators([(1, 1, 0, 0), (0, 0, 1, 0)], 4)
-    calls = {"kernel_basis": 0, "rank_of": 0}
+    calls = {"kernel_basis": 0, "_snf": 0, "_bareiss": 0, "cone_from_generators": 0}
 
-    def counted(name, fn):
+    def counted(module, name):
+        fn = getattr(module, name)
+
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    monkeypatch.setattr(lattice, "kernel_basis",
-                        counted("kernel_basis", lattice.kernel_basis))
-    monkeypatch.setattr(pc, "rank_of", counted("rank_of", pc.rank_of))
+    for module, name in ((lattice, "kernel_basis"), (lattice, "_snf"),
+                         (lattice, "_bareiss"), (pc, "cone_from_generators")):
+        counted(module, name)
     pc.intersect.cache_clear()
     pc.faces.cache_clear()
     assert pc.intersect(a, b).rays == ((1, 1, 0, 0),)
-    assert calls["kernel_basis"] == 1
-    calls["rank_of"] = 0
+    assert calls["kernel_basis"] == calls["_snf"] == 1
+    assert calls["cone_from_generators"] == 0
+    calls["_bareiss"] = 0
     for p in [(1, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (-1, 0, 0, 0), (0, 0, 0, 0)]:
         pc.contains(a, p)
         pc.contains(pc.zero_cone(4), p)
-    assert calls["rank_of"] == 0
+    assert calls["_bareiss"] == 0
+    calls["_snf"] = 0
+    c = pc.cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
+    assert len(c.rays) == 4 and c.dim == 3
+    assert calls["_snf"] == 1 and calls["_bareiss"] == 0
 
 
 def test_faces_closed_under_intersection():
@@ -283,9 +351,9 @@ def test_cyclic_cone_faces():
 
 def test_extreme_rays_of_halfspaces():
     # the positive quadrant cut by x >= y: rays (1, 0) and (1, 1)
-    assert pc.extreme_rays([(1, 0), (0, 1), (1, -1)], 2) == [(1, 0), (1, 1)]
+    assert sorted(pc.extreme_rays([(1, 0), (0, 1), (1, -1)], 2)) == [(1, 0), (1, 1)]
     # facet normals of a cone are the extreme rays of its dual
     c = pc.cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
-    assert tuple(pc.extreme_rays(c.rays, 3)) == c.facet_normals
+    assert tuple(sorted(pc.extreme_rays(c.rays, 3))) == c.facet_normals
     with pytest.raises(NotStronglyConvex):
         pc.extreme_rays([(1, 0)], 2)
