@@ -5,13 +5,13 @@ normals and equations (linear forms vanishing exactly on its span):
 
     sigma = {x : <n, x> >= 0 for every normal n, <e, x> == 0 for every e}
 
-All arithmetic is integral.  One double description, `extreme_rays`,
-started from R^k, returns extreme rays with bitmasks of the rows vanishing
-on them.  On the dual system {y : <y, g> >= 0}, in coordinates of the
-generators' span (whose SNF gives the equations), it yields the facet
-normals, and their masks tell which generators are extreme and whether the
-cone holds a line.  `intersect` runs it once on both cones' normals in a
-basis of the common span and reads equations and facets off the masks.
+All arithmetic is integral, with no SNF and no change of basis.  One double
+description, `extreme_rays`, started from R^k, returns extreme rays with
+bitmasks of the rows vanishing on them, and a lineality basis.  On the dual
+system {y : <y, g> >= 0} it yields the facet normals and, as its lineality,
+the equations; the masks tell which generators are extreme and whether the
+cone holds a line.  `intersect` runs it once on both cones' equations, as
+opposite row pairs, and normals, and reads its facets off the masks.
 Faces are derived from their parent: the facets' ray sets, as bitmasks
 over the parent's rays, are closed under intersection, and each face keeps
 one parent normal per facet of its own.  Rays are primitive and sorted;
@@ -36,7 +36,8 @@ RELATIVE_INTERIOR = "relative_interior"
 @dataclass(frozen=True, eq=False)
 class Cone:
     """Rays, one normal per facet, dim (the rank of the rays, stored), and
-    equations generating the linear forms that vanish on span(rays).
+    equations generating the linear forms that vanish on span(rays); from
+    `cone_from_generators` they are the lineality basis of the dual cone.
 
     Faces from `faces` and results of `intersect` keep their parents'
     normals and redundant equations, which may differ from those of
@@ -91,26 +92,21 @@ def cone_from_generators(gens, ambient_rank: int) -> Cone:
     if not prims:
         return zero_cone(ambient_rank)
 
-    _, coords, Binv = lattice.span_coordinates(prims, ambient_rank)
-    d = len(coords[0])
     # the facet normals are the extreme rays of the dual cone, each with the
-    # generators it vanishes on; the cone holds a line iff there is none (the
-    # cone is the whole span) or some generator lies on all of them
-    normals_d = extreme_rays(coords, d)
+    # generators it vanishes on, and its lineality is the span's orthogonal
+    # complement; the cone holds a line iff there is no normal (the cone is
+    # the whole span) or some generator lies on all of them
+    normals, lin = extreme_rays(prims, ambient_rank)
     full = (1 << len(prims)) - 1
-    if not normals_d or reduce(and_, normals_d.values(), full):
+    if not normals or reduce(and_, normals.values(), full):
         raise NotStronglyConvex("the generators span a cone containing a line")
 
     # a generator is extreme iff the facets it lies on cut out its own ray
     rays = tuple(g for i, g in enumerate(prims)
-                 if reduce(and_, (z for z in normals_d.values() if z >> i & 1),
+                 if reduce(and_, (z for z in normals.values() if z >> i & 1),
                            full) == 1 << i)
-
-    pad = (0,) * (ambient_rank - d)
-    amb_normals = sorted(lattice.mat_vec(Binv, n + pad) for n in normals_d)
-    # x @ Binv has zero entries from d on exactly when x is in the span
-    return Cone(ambient_rank, rays, tuple(amb_normals), d,
-                lattice.transpose(Binv)[d:])
+    return Cone(ambient_rank, rays, tuple(sorted(normals)),
+                ambient_rank - len(lin), tuple(lin))
 
 
 def contains(c: Cone, v) -> str:
@@ -174,20 +170,22 @@ def is_face_of(t: Cone, c: Cone) -> bool:
     return t in faces(c)
 
 
-def extreme_rays(rows, k: int) -> dict[Vec, int]:
-    """Primitive extreme rays of {x in R^k : row @ x >= 0 for all rows}, each
-    mapped to the bitmask of the row positions that vanish on it.
+def extreme_rays(rows, k: int) -> tuple[dict[Vec, int], list[Vec]]:
+    """(rays, lin) with {x in R^k : row @ x >= 0 for all rows} equal to
+    cone(rays) + span(lin).  rays maps each primitive extreme ray, one per
+    ray modulo span(lin), to the bitmask of the row positions vanishing on
+    it; lin is a primitive basis of {x : row @ x == 0 for all rows}.
 
-    Incremental double description (Fukuda & Prodon 1996) from R^k: the cone
-    is cone(rays) + span(lin), and the rows so far vanish on lin.  A row
-    nonzero on lin makes one p in lin, oriented to pair positively with it,
-    a ray, and moves the rest along p onto its hyperplane.  Any other row
-    keeps the rays it does not cut and combines each adjacent
-    positive/negative pair: rp, rm are adjacent iff z = mask(rp) & mask(rm)
-    has at least k - len(lin) - 2 bits and no third ray's mask contains z
-    (the smallest face holding both).  Zero and repeated rows only set bits.
-    Lineality left at the end raises NotStronglyConvex.  On the generators
-    of a full-dimensional cone it returns the facet normals.
+    Incremental double description (Fukuda & Prodon 1996) from R^k: the rows
+    so far vanish on lin.  A row nonzero on lin makes one p in lin, oriented
+    to pair positively with it, a ray, and moves the rest along p onto its
+    hyperplane.  Any other row keeps the rays it does not cut and combines
+    each adjacent positive/negative pair: rp, rm are adjacent iff z =
+    mask(rp) & mask(rm) has at least k - len(lin) - 2 bits and no third
+    ray's mask contains z (the smallest face holding both).  Zero and
+    repeated rows only set bits, and the pair (e, -e) imposes e @ x == 0.
+    On the generators of a cone it returns the facet normals and a basis of
+    the forms vanishing on the span.
     """
     lin = list(lattice.identity(k))
     zs: dict[Vec, int] = {}
@@ -200,11 +198,12 @@ def extreme_rays(rows, k: int) -> dict[Vec, int]:
             a, p = on_lin.pop(j), lin.pop(j)
             if a < 0:
                 a, p = -a, tuple(-x for x in p)
-            # v - (m @ v / a) * p, scaled by a > 0, lies on the hyperplane
-            lin = [primitive([a * y - x * q for y, q in zip(v, p)])
+            # v - (m @ v / a) * p, scaled by a > 0, lies on the hyperplane;
+            # v already on it stays as it is
+            lin = [primitive([a * y - x * q for y, q in zip(v, p)]) if x else v
                    for v, x in zip(lin, on_lin)]
-            zs = {primitive([a * y - vals[r] * q for y, q in zip(r, p)]): z | bit
-                  for r, z in zs.items()}
+            zs = {(primitive([a * y - vals[r] * q for y, q in zip(r, p)])
+                   if vals[r] else r): z | bit for r, z in zs.items()}
             zs[p] = bit - 1  # p lies on every earlier row
             continue
         plus = [r for r in zs if vals[r] > 0]
@@ -221,16 +220,16 @@ def extreme_rays(rows, k: int) -> dict[Vec, int]:
                 comb = tuple(vals[rp] * b - vals[rm] * a for a, b in zip(rp, rm))
                 new[primitive(comb)] = z | bit
         zs = new
-    if lin:
-        raise NotStronglyConvex("halfspace system with a lineality space")
-    return zs
+    return zs, lin
 
 
 @lru_cache(maxsize=None)
 def intersect(a: Cone, b: Cone) -> Cone:
-    """The cone a ∩ b, from one double description of both facet systems in a
-    basis W of the common span: the normals vanishing on all its rays are
-    equations, and each maximal zero set of the others over the rays is a facet."""
+    """The cone a ∩ b, from one double description in ambient coordinates:
+    each equation of a or b enters as the row pair (e, -e), followed by both
+    cones' normals.  a is pointed, so no lineality is left.  The normals
+    vanishing on all its rays are equations, and each maximal zero set of
+    the others over the rays is a facet."""
     if a.ambient_rank != b.ambient_rank:
         raise DimensionMismatch("cones in different ambient lattices")
     n = a.ambient_rank
@@ -239,13 +238,13 @@ def intersect(a: Cone, b: Cone) -> Cone:
     if not a.rays or not b.rays:
         return zero_cone(n)
 
-    W = lattice.kernel_basis(a.equations + b.equations, n)
+    eqs = a.equations + b.equations
     normals = a.facet_normals + b.facet_normals
-    rays_w = extreme_rays([tuple(dot(nv, w) for w in W) for nv in normals], len(W))
-    if not rays_w:
+    pairs = [r for e in eqs for r in (e, tuple(-x for x in e))]
+    found = sorted((r, z >> len(pairs))
+                   for r, z in extreme_rays(pairs + list(normals), n)[0].items())
+    if not found:
         return zero_cone(n)
-    # W spans a saturated lattice, so primitive coordinates give primitive rays
-    found = sorted((lattice.vec_mat(r, W), z) for r, z in rays_w.items())
     rays = tuple(r for r, _ in found)
     every = (1 << len(rays)) - 1
     zeros = [sum(1 << t for t, (_, z) in enumerate(found) if z >> j & 1)
@@ -253,5 +252,5 @@ def intersect(a: Cone, b: Cone) -> Cone:
     by_zeros = {s: nv for s, nv in zip(zeros, normals) if s != every}
     facets = sorted(nv for s, nv in by_zeros.items()
                     if not any(s != y and s & y == s for y in by_zeros))
-    return Cone(n, rays, tuple(facets), rank_of(rays), a.equations + b.equations
-                + tuple(nv for nv, s in zip(normals, zeros) if s == every))
+    return Cone(n, rays, tuple(facets), rank_of(rays),
+                eqs + tuple(nv for nv, s in zip(normals, zeros) if s == every))

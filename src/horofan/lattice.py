@@ -3,9 +3,9 @@
 Vectors are tuples of Python ints and matrices are tuples of row tuples, so
 everything here is exact at arbitrary precision.  The two workhorses are
 Bareiss elimination (ranks, determinants) and a Smith normal form with
-tracked unimodular transforms, on which saturation, kernels and cokernels
-are built; basis extension eliminates one row at a time instead.  Intended
-for desk-scale inputs (ranks up to about a dozen); there is deliberately no
+tracked unimodular transforms, on which saturation and cokernels are
+built; basis extension eliminates one row at a time instead.  Intended for
+desk-scale inputs (ranks up to about a dozen); there is deliberately no
 modular or sparse acceleration.
 """
 
@@ -37,11 +37,6 @@ def dot(u: Vec, v: Vec) -> int:
     if len(u) != len(v):
         raise DimensionMismatch(f"dot of vectors of length {len(u)} and {len(v)}")
     return sum(map(mul, u, v))
-
-
-def mat_vec(A: Mat, v: Vec) -> Vec:
-    """A @ v with v a column vector."""
-    return tuple(dot(row, v) for row in A)
 
 
 def vec_mat(v: Vec, A: Mat) -> Vec:
@@ -309,17 +304,6 @@ def span_coordinates(vs, ncols: int) -> tuple[Mat, Mat, Mat]:
             raise AssertionError("vector not in the saturated span")
         coords.append(full[:d])
     return basis, tuple(coords), Binv
-
-
-def kernel_basis(A, ncols: int) -> Mat:
-    """Basis of {x in Z^ncols : A @ x = 0}; the basis spans a saturated lattice."""
-    A = freeze_matrix(A)
-    for row in A:
-        if len(row) != ncols:
-            raise DimensionMismatch("kernel of a matrix with inconsistent row length")
-    _, D, V, _ = _snf(A, len(A), ncols, v=True)
-    r = sum(1 for i in range(min(len(A), ncols)) if D[i][i])
-    return tuple(tuple(V[i][j] for i in range(ncols)) for j in range(r, ncols))
 
 
 def vector_gcd(v: Vec) -> int:

@@ -80,7 +80,7 @@ def arrangement_cells(rng: random.Random, rank: int,
     cells: list[pc.Cone] = []
     for signs in product((1, -1), repeat=len(normals)):
         rows = [tuple(s * x for x in n) for s, n in zip(signs, normals)]
-        cell = pc.cone_from_generators(pc.extreme_rays(rows, rank), rank)
+        cell = pc.cone_from_generators(pc.extreme_rays(rows, rank)[0], rank)
         if cell.dim == rank and cell not in cells:
             cells.append(cell)
     return cells

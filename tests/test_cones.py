@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horofan import cones as pc
@@ -115,7 +115,10 @@ def _assert_span_equations(c):
 
 def test_round_trip():
     for gens, n in (([(1, 0), (0, 1)], 2), ([(1, 2, 0), (0, 1, 1), (2, 1, 1)], 3),
-                    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3), ([], 2)):
+                    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3), ([], 2),
+                    # a square cone in a 3-dimensional sub-span of Z^5
+                    ([(1, 1, 1, 2, 0), (-1, 1, 1, 0, 0), (-1, -1, 1, 0, -2),
+                      (1, -1, 1, 2, -2)], 5)):
         c = pc.cone_from_generators(gens, n)
         assert c.dim == rank_of(c.rays) and (c == pc.zero_cone(n)) == (not gens)
         assert pc.cone_from_generators(c.rays, c.ambient_rank) == c
@@ -170,6 +173,36 @@ def test_extreme_rays_match_oracle():
         assert set(c.rays) == expected
 
 
+def test_lower_dimensional_cones_match_oracle():
+    # cones on 1-3 generators of a random sub-span of Z^4 or Z^5: their
+    # equations come from the lineality of the dual double description
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(4, 5)
+        s = rng.randint(1, 3)
+        while rank_of(B := [tuple(rng.randint(-2, 2) for _ in range(n))
+                            for _ in range(s)]) < s:
+            pass
+
+        def in_span():
+            return lattice.vec_mat(tuple(rng.randint(-3, 3) for _ in range(s)), B)
+        gens, count = [], rng.randint(1, 3)
+        while len(gens) < count:
+            # a positive first coordinate on B keeps the cone pointed
+            g = in_span()
+            if lattice.dot(g, B[0]) > 0:
+                gens.append(pc.primitive(g))
+        c = pc.cone_from_generators(gens, n)
+        assert set(c.rays) == {g for g in set(gens)
+                               if not member_oracle([h for h in set(gens) if h != g], g)}
+        assert c.dim == rank_of(gens) and len(c.equations) == n - c.dim
+        _assert_span_equations(c)
+        points = [in_span() for _ in range(8)] + gens + [tuple(map(sum, zip(*gens)))]
+        points += [tuple(x + rng.randint(-1, 1) for x in p) for p in points]
+        for p in points:
+            assert (pc.contains(c, p) != pc.OUTSIDE) == member_oracle(gens, p)
+
+
 @st.composite
 def _halfspace_systems(draw):
     k = draw(st.integers(2, 5))
@@ -191,12 +224,17 @@ def _halfspace_systems(draw):
 @settings(max_examples=120, deadline=None)
 def test_extreme_rays_match_halfspace_oracle(system):
     rows, k = system
-    assume(rank_of(rows) == k)
-    got = pc.extreme_rays(rows, k)
-    assert sorted(got) == extreme_rays_oracle(rows, k)
+    got, lin = pc.extreme_rays(rows, k)
+    rank = rank_of(rows)
+    # lin is a basis of the common kernel of the rows
+    assert len(lin) == k - rank == rank_of(lin)
+    assert all(lattice.dot(row, v) == 0 for row in rows for v in lin)
     for r, mask in got.items():
         assert mask == sum(1 << i for i, row in enumerate(rows)
                            if lattice.dot(row, r) == 0)
+    if rank == k:
+        assert lin == []
+        assert sorted(got) == extreme_rays_oracle(rows, k)
 
 
 def _assert_matches_rebuilt(t, points):
@@ -281,13 +319,13 @@ def test_derived_faces_match_rebuilt_cones():
 
 
 def test_work_counts_of_intersect_and_contains(monkeypatch):
-    # machine-independent: intersect finds the common span with one kernel
-    # SNF over the stored equations and converts once, with no second
-    # cone_from_generators; contains tests the span with no rank, and
+    # machine-independent: intersect and cone_from_generators run one double
+    # description in ambient coordinates, with no SNF, and intersect no
+    # second cone_from_generators; contains tests the span with no rank, and
     # cone_from_generators reads lines and extreme rays off the masks
     a = pc.cone_from_generators([(1, 0, 0, 0), (0, 1, 0, 0)], 4)
     b = pc.cone_from_generators([(1, 1, 0, 0), (0, 0, 1, 0)], 4)
-    calls = {"kernel_basis": 0, "_snf": 0, "_bareiss": 0, "cone_from_generators": 0}
+    calls = {"_snf": 0, "_bareiss": 0, "cone_from_generators": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -297,23 +335,24 @@ def test_work_counts_of_intersect_and_contains(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((lattice, "kernel_basis"), (lattice, "_snf"),
-                         (lattice, "_bareiss"), (pc, "cone_from_generators")):
+    for module, name in ((lattice, "_snf"), (lattice, "_bareiss"),
+                         (pc, "cone_from_generators")):
         counted(module, name)
     pc.intersect.cache_clear()
     pc.faces.cache_clear()
     assert pc.intersect(a, b).rays == ((1, 1, 0, 0),)
-    assert calls["kernel_basis"] == calls["_snf"] == 1
-    assert calls["cone_from_generators"] == 0
+    assert calls["_snf"] == calls["cone_from_generators"] == 0
     calls["_bareiss"] = 0
     for p in [(1, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (-1, 0, 0, 0), (0, 0, 0, 0)]:
         pc.contains(a, p)
         pc.contains(pc.zero_cone(4), p)
     assert calls["_bareiss"] == 0
-    calls["_snf"] = 0
     c = pc.cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
     assert len(c.rays) == 4 and c.dim == 3
-    assert calls["_snf"] == 1 and calls["_bareiss"] == 0
+    assert calls["_snf"] == 0 and calls["_bareiss"] == 0
+    c = pc.cone_from_generators([(1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 2, 0)], 4)
+    assert len(c.rays) == 2 and c.dim == 2
+    assert calls["_snf"] == 0 and calls["_bareiss"] == 0
 
 
 def test_faces_closed_under_intersection():
@@ -351,9 +390,9 @@ def test_cyclic_cone_faces():
 
 def test_extreme_rays_of_halfspaces():
     # the positive quadrant cut by x >= y: rays (1, 0) and (1, 1)
-    assert sorted(pc.extreme_rays([(1, 0), (0, 1), (1, -1)], 2)) == [(1, 0), (1, 1)]
+    assert sorted(pc.extreme_rays([(1, 0), (0, 1), (1, -1)], 2)[0]) == [(1, 0), (1, 1)]
     # facet normals of a cone are the extreme rays of its dual
     c = pc.cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
-    assert tuple(sorted(pc.extreme_rays(c.rays, 3))) == c.facet_normals
-    with pytest.raises(NotStronglyConvex):
-        pc.extreme_rays([(1, 0)], 2)
+    assert tuple(sorted(pc.extreme_rays(c.rays, 3)[0])) == c.facet_normals
+    # a half-plane: one ray and the line x == 0 as its lineality
+    assert pc.extreme_rays([(1, 0)], 2) == ({(1, 0): 0}, [(0, 1)])
