@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Count the polyhedral and lattice work of one pass over benchmark inputs.
+
+Usage: PYTHONPATH=src python scripts/work_counts.py INPUTS
+
+INPUTS is an `inputs.json` written by `bench/run.py` (under
+`.bench_out/<workload>-s<seed>-t<trace>/`).  Every op runs in process
+through `cli.run` and `cli.render_machine`, as in the benchmark; the
+module caches are cleared before each document, as the benchmark's
+per-document forks start empty, and a `split` document feeds the commands
+after it.  Prints, for one pass: the calls of `cones.extreme_rays` with
+the inequality rows and equalities fed to them, the uncached
+`cones.intersect` calls, and the calls of `lattice._snf` and
+`lattice._bareiss`.  The counts do not depend on the machine.
+"""
+
+import json
+import sys
+from collections import Counter
+
+from horofan import cli, cones, document, dynkin, lattice
+
+CACHES = [cones.faces, cones.intersect] + [
+    f for f in vars(dynkin).values() if hasattr(f, "cache_clear")]
+
+
+def counting(counts: Counter) -> None:
+    """Wrap the counted functions in their modules."""
+    extreme_rays = cones.extreme_rays
+
+    def counted_extreme_rays(rows, k, eqs=()):
+        counts["extreme_rays calls"] += 1
+        counts["extreme_rays rows"] += len(rows)
+        counts["extreme_rays eqs"] += len(eqs)
+        return extreme_rays(rows, k, eqs)
+    cones.extreme_rays = counted_extreme_rays
+
+    for name in ("_snf", "_bareiss"):
+        def counted(*args, fn=getattr(lattice, name), key=f"{name} calls", **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        setattr(lattice, name, counted)
+
+
+def run_op(text: str, command: str) -> dict:
+    name, *opts = command.split(" ")
+    kwargs = {}
+    if name == "local":
+        kwargs["cone_index"] = int(opts[1])
+    elif name == "decolour":
+        kwargs["keep"] = [c for c in opts[1].split(",") if c]
+    report = cli.run(document.parse(text), name, **kwargs)
+    cli.render_machine(report)
+    return report
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    with open(sys.argv[1], encoding="utf-8") as fh:
+        blocks = json.load(fh)
+    counts: Counter = Counter()
+    counting(counts)
+    ops = 0
+    for block in blocks:
+        for doc in block:
+            for cache in CACHES:
+                cache.cache_clear()
+            text = doc["text"]
+            for command in doc["commands"]:
+                report = run_op(text, command)
+                if command.split(" ")[0] == "split":
+                    text = json.dumps(report["document"], sort_keys=True)
+                ops += 1
+            counts["intersect uncached"] += cones.intersect.cache_info().misses
+    print(f"ops per pass: {ops}")
+    for key in ("extreme_rays calls", "extreme_rays rows", "extreme_rays eqs",
+                "intersect uncached", "_snf calls", "_bareiss calls"):
+        print(f"{key}: {counts[key]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,8 +10,8 @@ description, `extreme_rays`, started from R^k, returns extreme rays with
 bitmasks of the rows vanishing on them, and a lineality basis.  On the dual
 system {y : <y, g> >= 0} it yields the facet normals and, as its lineality,
 the equations; the masks tell which generators are extreme and whether the
-cone holds a line.  `intersect` runs it once on both cones' equations, as
-opposite row pairs, and normals, and reads its facets off the masks.
+cone holds a line.  `intersect` runs it once on both cones' normals, with
+their equations as equalities, and reads its facets off the masks.
 Faces are derived from their parent: the facets' ray sets, as bitmasks
 over the parent's rays, are closed under intersection, and each face keeps
 one parent normal per facet of its own.  Rays are primitive and sorted;
@@ -170,27 +170,32 @@ def is_face_of(t: Cone, c: Cone) -> bool:
     return t in faces(c)
 
 
-def extreme_rays(rows, k: int) -> tuple[dict[Vec, int], list[Vec]]:
-    """(rays, lin) with {x in R^k : row @ x >= 0 for all rows} equal to
-    cone(rays) + span(lin).  rays maps each primitive extreme ray, one per
-    ray modulo span(lin), to the bitmask of the row positions vanishing on
-    it; lin is a primitive basis of {x : row @ x == 0 for all rows}.
+def extreme_rays(rows, k: int, eqs=()) -> tuple[dict[Vec, int], list[Vec]]:
+    """(rays, lin) with {x in R^k : row @ x >= 0 for all rows, e @ x == 0
+    for all e in eqs} equal to cone(rays) + span(lin).  rays maps each
+    primitive extreme ray, one per ray modulo span(lin), to the bitmask of
+    the positions in rows (not eqs) vanishing on it; lin is a primitive
+    basis of {x : row @ x == 0 for all rows and eqs}.
 
     Incremental double description (Fukuda & Prodon 1996) from R^k: the rows
     so far vanish on lin.  A row nonzero on lin makes one p in lin, oriented
     to pair positively with it, a ray, and moves the rest along p onto its
-    hyperplane.  Any other row keeps the rays it does not cut and combines
+    hyperplane; an equality, taken before the first row, does the same but
+    drops p, so span(lin) is then the subspace of dimension dim that eqs
+    cut out.  Any other row keeps the rays it does not cut and combines
     each adjacent positive/negative pair: rp, rm are adjacent iff z =
-    mask(rp) & mask(rm) has at least k - len(lin) - 2 bits and no third
+    mask(rp) & mask(rm) has at least dim - len(lin) - 2 bits and no third
     ray's mask contains z (the smallest face holding both).  Zero and
-    repeated rows only set bits, and the pair (e, -e) imposes e @ x == 0.
+    repeated rows only set bits, and redundant equalities do nothing.
     On the generators of a cone it returns the facet normals and a basis of
     the forms vanishing on the span.
     """
     lin = list(lattice.identity(k))
     zs: dict[Vec, int] = {}
-    for i, m in enumerate(rows):
-        bit = 1 << i
+    for i, m in enumerate([*eqs, *rows], -len(eqs)):
+        if i == 0:
+            dim = len(lin)  # of the subspace the equalities cut out
+        bit = 1 << i if i >= 0 else 0
         vals = {r: dot(m, r) for r in zs}
         on_lin = [dot(m, v) for v in lin]
         if any(on_lin):
@@ -202,9 +207,10 @@ def extreme_rays(rows, k: int) -> tuple[dict[Vec, int], list[Vec]]:
             # v already on it stays as it is
             lin = [primitive([a * y - x * q for y, q in zip(v, p)]) if x else v
                    for v, x in zip(lin, on_lin)]
-            zs = {(primitive([a * y - vals[r] * q for y, q in zip(r, p)])
-                   if vals[r] else r): z | bit for r, z in zs.items()}
-            zs[p] = bit - 1  # p lies on every earlier row
+            if i >= 0:  # an equality leaves p out; there are no rays yet
+                zs = {(primitive([a * y - vals[r] * q for y, q in zip(r, p)])
+                       if vals[r] else r): z | bit for r, z in zs.items()}
+                zs[p] = bit - 1  # p lies on every earlier row
             continue
         plus = [r for r in zs if vals[r] > 0]
         minus = [r for r in zs if vals[r] < 0]
@@ -214,7 +220,7 @@ def extreme_rays(rows, k: int) -> tuple[dict[Vec, int], list[Vec]]:
             for rm in minus:
                 zp, zm = zs[rp], zs[rm]
                 z = zp & zm
-                if z.bit_count() < k - len(lin) - 2 or any(
+                if z.bit_count() < dim - len(lin) - 2 or any(
                         y & z == z and y != zp and y != zm for y in zs.values()):
                     continue  # not adjacent in the current cone
                 comb = tuple(vals[rp] * b - vals[rm] * a for a, b in zip(rp, rm))
@@ -226,10 +232,11 @@ def extreme_rays(rows, k: int) -> tuple[dict[Vec, int], list[Vec]]:
 @lru_cache(maxsize=None)
 def intersect(a: Cone, b: Cone) -> Cone:
     """The cone a ∩ b, from one double description in ambient coordinates:
-    each equation of a or b enters as the row pair (e, -e), followed by both
-    cones' normals.  a is pointed, so no lineality is left.  The normals
-    vanishing on all its rays are equations, and each maximal zero set of
-    the others over the rays is a facet."""
+    the equations of a and b enter as equalities, not as opposite row
+    pairs, and both cones' normals are its rows.  a is pointed, so no
+    lineality is left.  The normals vanishing on all its rays are
+    equations, and each maximal zero set of the others over the rays is a
+    facet."""
     if a.ambient_rank != b.ambient_rank:
         raise DimensionMismatch("cones in different ambient lattices")
     n = a.ambient_rank
@@ -240,9 +247,7 @@ def intersect(a: Cone, b: Cone) -> Cone:
 
     eqs = a.equations + b.equations
     normals = a.facet_normals + b.facet_normals
-    pairs = [r for e in eqs for r in (e, tuple(-x for x in e))]
-    found = sorted((r, z >> len(pairs))
-                   for r, z in extreme_rays(pairs + list(normals), n)[0].items())
+    found = sorted(extreme_rays(normals, n, eqs)[0].items())
     if not found:
         return zero_cone(n)
     rays = tuple(r for r, _ in found)

@@ -127,6 +127,8 @@ def parse(text: str) -> FanDocument:
 
     parabolic = _expect(raw, "parabolic", list, "document")
     for n in parabolic:
+        if not isinstance(n, str):
+            raise ParseError(f"parabolic: entry {n!r} is not a node name")
         if n not in node_set:
             raise UnresolvedIdentifier(f"parabolic: unknown node {n!r}")
     if len(set(parabolic)) != len(parabolic):

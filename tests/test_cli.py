@@ -1,6 +1,8 @@
+import copy
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -281,3 +283,85 @@ def test_caps_at_the_document_boundary(tmp_path, capsys, make, cap):
     code, out, err = run_cli(capsys, "classify", past)
     assert (code, out) == (cli.EXIT_PARSE, "")
     assert err.startswith("error[ParseError]:")
+
+
+@pytest.mark.parametrize("entry", [[0], {"A3.1": 1}], ids=["list", "dict"])
+def test_parse_error_parabolic_entry_not_a_string(tmp_path, capsys, entry):
+    raw = json.loads((GOLDENS / "a3_colour_line.json").read_text())
+    raw["parabolic"] = ["A3.1", entry]
+    path = tmp_path / "parabolic.json"
+    path.write_text(json.dumps(raw))
+    code, rep, _ = machine(capsys, "classify", path)
+    assert code == cli.EXIT_PARSE
+    assert rep["error"]["code"] == "ParseError"
+    assert repr(entry) in rep["error"]["message"]
+    code, out, err = run_cli(capsys, "classify", path)
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err.startswith("error[ParseError]: parabolic:") and repr(entry) in err
+
+
+# what a mutation may put in: scalars of every JSON type, and key names the
+# schema uses
+_VALUES = [0, 1, -1, 2, -3, 7, True, False, None, 1.5, "", "x", "A", "A3.2",
+           [], {}, [0], [[1]], {"A3.1": 1}]
+_KEYS = ["group", "components", "torus_rank", "family", "rank", "parabolic",
+         "lattice_rank", "colour_points", "cones", "rays", "colours", "A3.2"]
+
+
+def _mutate(rng, doc):
+    """Replace, delete, add or shuffle one entry of a container in doc; a
+    new value is a scalar or a copy of a subtree of doc."""
+    containers, subtrees = [], []
+
+    def walk(x):
+        subtrees.append(x)
+        if isinstance(x, (dict, list)):
+            containers.append(x)
+            for v in (x.values() if isinstance(x, dict) else x):
+                walk(v)
+    walk(doc)
+    c = rng.choice(containers)
+    value = copy.deepcopy(rng.choice(_VALUES + subtrees))
+    keys = list(c) if isinstance(c, dict) else list(range(len(c)))
+    op = rng.randrange(4) if keys else 2
+    if op == 0:
+        key = rng.choice(keys)
+        if type(c[key]) is int and rng.random() < 0.5:
+            value = c[key] + rng.choice((-2, -1, 1, 2))  # a nearby integer
+        c[key] = value
+    elif op == 1:
+        del c[rng.choice(keys)]
+    elif op == 2 and isinstance(c, dict):
+        c[rng.choice(_KEYS)] = value
+    elif op == 2:
+        c.insert(rng.randint(0, len(c)), value)
+    elif isinstance(c, dict):
+        items = list(c.items())
+        rng.shuffle(items)
+        c.clear()
+        c.update(items)
+    else:
+        rng.shuffle(c)
+
+
+def test_mutated_documents_exit_with_a_documented_code(tmp_path, capsys):
+    # seeded mutations of the golden documents: every command exits 0, 2, 3
+    # or 4 with JSON on stdout, and never with a traceback
+    rng = random.Random(53)
+    goldens = [json.loads(p.read_text()) for p in sorted(GOLDENS.glob("*.json"))]
+    commands = [["classify"], ["cox"], ["split"], ["decolour", "--keep", ""],
+                ["local", "--cone", "0"]]
+    path = tmp_path / "mutant.json"
+    codes = set()
+    for _ in range(300):
+        doc = copy.deepcopy(rng.choice(goldens))
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, doc)
+        path.write_text(json.dumps(doc))
+        for verb, *extra in commands:
+            code, out, _ = run_cli(capsys, verb, path, *extra, "--format", "machine")
+            assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION,
+                            cli.EXIT_PRECONDITION), (doc, verb)
+            json.loads(out)
+            codes.add(code)
+    assert codes == {0, 2, 3, 4}

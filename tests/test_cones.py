@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from horofan import cones as pc
@@ -237,6 +237,37 @@ def test_extreme_rays_match_halfspace_oracle(system):
         assert sorted(got) == extreme_rays_oracle(rows, k)
 
 
+@st.composite
+def _systems_with_equalities(draw):
+    rows, k = draw(_halfspace_systems())
+    eqs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k), max_size=3))
+    return rows, k, eqs
+
+
+@given(_systems_with_equalities())
+@settings(max_examples=150, deadline=None)
+@seed(43)
+def test_extreme_rays_with_equalities_match_row_pairs(system):
+    # an equality e @ x == 0 restricts the start of the double description;
+    # it must give what the row pair (e, -e) gives, with the pairs' bits
+    # (set on every ray) left out of the masks
+    rows, k, eqs = system
+    got, lin = pc.extreme_rays(rows, k, eqs)
+    pairs = [r for e in eqs for r in (e, tuple(-x for x in e))]
+    old, old_lin = pc.extreme_rays(pairs + rows, k)
+    assert got == {r: z >> len(pairs) for r, z in old.items()}
+    assert rank_of(lin) == rank_of(old_lin) == rank_of(lin + old_lin)
+
+
+def test_intersect_of_cones_in_one_plane():
+    # both cones span the plane y == z; the ray (1, 1, 1) of a ∩ b is lost
+    # if the adjacency prefilter counts the dimension of R^3, not of the plane
+    a = pc.cone_from_generators([(2, 1, 1), (-2, 1, 1)], 3)
+    b = pc.cone_from_generators([(-1, 0, 0), (1, 1, 1)], 3)
+    assert pc.intersect(a, b).rays == ((-2, 1, 1), (1, 1, 1))
+    assert pc.intersect(b, a).rays == ((-2, 1, 1), (1, 1, 1))
+
+
 def _assert_matches_rebuilt(t, points):
     # t must behave exactly like the cone rebuilt from its rays
     g = pc.cone_from_generators(t.rays, t.ambient_rank)
@@ -321,8 +352,9 @@ def test_derived_faces_match_rebuilt_cones():
 def test_work_counts_of_intersect_and_contains(monkeypatch):
     # machine-independent: intersect and cone_from_generators run one double
     # description in ambient coordinates, with no SNF, and intersect no
-    # second cone_from_generators; contains tests the span with no rank, and
-    # cone_from_generators reads lines and extreme rays off the masks
+    # second cone_from_generators and no row pair per equation; contains
+    # tests the span with no rank, and cone_from_generators reads lines and
+    # extreme rays off the masks
     a = pc.cone_from_generators([(1, 0, 0, 0), (0, 1, 0, 0)], 4)
     b = pc.cone_from_generators([(1, 1, 0, 0), (0, 0, 1, 0)], 4)
     calls = {"_snf": 0, "_bareiss": 0, "cone_from_generators": 0}
@@ -338,10 +370,20 @@ def test_work_counts_of_intersect_and_contains(monkeypatch):
     for module, name in ((lattice, "_snf"), (lattice, "_bareiss"),
                          (pc, "cone_from_generators")):
         counted(module, name)
+    conversions = []
+    extreme_rays = pc.extreme_rays
+
+    def recorded(rows, k, eqs=()):
+        conversions.append((len(rows), tuple(eqs)))
+        return extreme_rays(rows, k, eqs)
+    monkeypatch.setattr(pc, "extreme_rays", recorded)
     pc.intersect.cache_clear()
     pc.faces.cache_clear()
     assert pc.intersect(a, b).rays == ((1, 1, 0, 0),)
     assert calls["_snf"] == calls["cone_from_generators"] == 0
+    # one conversion: the normals as rows, the equations as equalities
+    assert conversions == [(len(a.facet_normals) + len(b.facet_normals),
+                            a.equations + b.equations)]
     calls["_bareiss"] = 0
     for p in [(1, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (-1, 0, 0, 0), (0, 0, 0, 0)]:
         pc.contains(a, p)
