@@ -10,7 +10,8 @@ module caches are cleared before each document, as the benchmark's
 per-document forks start empty, and a `split` document feeds the commands
 after it.  Prints, for one pass: the calls of `cones.extreme_rays` with
 the inequality rows and equalities fed to them, the uncached
-`cones.intersect` calls, and the calls of `lattice._snf` and
+`cones.intersect` calls, the uncached `dynkin.component_labels` calls (the
+Dynkin type searches), and the calls of `lattice._snf` and
 `lattice._bareiss`.  The counts do not depend on the machine.
 """
 
@@ -74,9 +75,12 @@ def main() -> int:
                     text = json.dumps(report["document"], sort_keys=True)
                 ops += 1
             counts["intersect uncached"] += cones.intersect.cache_info().misses
+            counts["component_labels uncached"] += \
+                dynkin.component_labels.cache_info().misses
     print(f"ops per pass: {ops}")
     for key in ("extreme_rays calls", "extreme_rays rows", "extreme_rays eqs",
-                "intersect uncached", "_snf calls", "_bareiss calls"):
+                "intersect uncached", "component_labels uncached", "_snf calls",
+                "_bareiss calls"):
         print(f"{key}: {counts[key]}")
     return 0
 

@@ -76,9 +76,10 @@ def is_vivid(sc: ColouredCone, L: ColouredLattice, d: DynkinData) -> bool:
 
 def classify_cone(sc: ColouredCone, L: ColouredLattice, d: DynkinData
                   ) -> ConeClassification:
-    simplicial = is_simplicial(sc, L)
-    # part of a Z-basis implies independent, so reuse the cheaper flag
-    regular = simplicial and is_regular(sc, L)
+    # `is_simplicial`, then `is_regular` (a part of a Z-basis is independent)
+    points = simplicial_multiset(sc, L)
+    simplicial = len(points) == sc.cone.dim
+    regular = simplicial and lattice.extends_to_Z_basis(points, L.rank)
     return ConeClassification(
         simplicial=simplicial,
         regular=regular,

@@ -20,7 +20,6 @@ Exit codes: 0 ok, 2 parse error, 3 validation error, 4 precondition error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import cox as cox_mod
@@ -196,14 +195,14 @@ def render_text(report: dict) -> str:
         lines.append(f"sublattice basis: {report['n_prime_basis']}")
         lines.append(f"split-off torus rank: {report['quotient_rank']}")
         lines.append("restricted fan document:")
-        lines.append(json.dumps(report["document"], sort_keys=True, indent=2))
+        lines.append(docmod.canonical_json(report["document"]))
     elif cmd == "decolour":
         lines.insert(0, f"kept colours: {report['keep']}")
     return "\n".join(lines) + "\n"
 
 
 def render_machine(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return docmod.canonical_json(report) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -238,7 +237,7 @@ def main(argv=None) -> int:
             if isinstance(exc, ParseError) and exc.line is not None:
                 payload["error"]["line"] = exc.line
                 payload["error"]["column"] = exc.column
-            print(json.dumps(payload, sort_keys=True, indent=2))
+            print(docmod.canonical_json(payload))
         else:
             where = f" (line {exc.line}, column {exc.column})" \
                 if isinstance(exc, ParseError) and exc.line is not None else ""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import cones as pc
 from . import dynkin as dk
@@ -191,9 +192,38 @@ def to_mapping(doc: FanDocument) -> dict:
     }
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def canonical_json(obj, _newline: str = "\n") -> str:
+    """What `json.dumps(obj, sort_keys=True)` writes with an indent of 2, which
+    CPython encodes in pure Python.  Takes str, int, bool, None, lists, tuples
+    and str-keyed dicts; anything else, a float too, is a TypeError."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return _LITERALS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = _newline + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [int.__repr__(x) if type(x) is int else canonical_json(x, inner)
+                 for x in obj]  # most leaves are ints; `type` skips bools
+        brackets = "[]"
+    elif isinstance(obj, dict):  # a key that is not a str fails to encode
+        items = [encode_basestring_ascii(k) + ": " + canonical_json(obj[k], inner)
+                 for k in sorted(obj)]
+        brackets = "{}"
+    else:
+        raise TypeError(f"cannot encode {type(obj).__name__} as canonical JSON")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + _newline + brackets[1]
+
+
 def render(doc: FanDocument) -> str:
     """Canonical JSON text; parse(render(doc)) == doc."""
-    return json.dumps(to_mapping(doc), sort_keys=True, indent=2) + "\n"
+    return canonical_json(to_mapping(doc)) + "\n"
 
 
 def build(doc: FanDocument) -> tuple[dk.DynkinData, ColouredLattice, ColouredFan]:

@@ -3,9 +3,11 @@
 A diagram is an undirected decorated graph: edges carry a multiplicity in
 {1, 2, 3} and, when the multiplicity exceeds 1, a marker naming the endpoint
 that is the long root.  That is the minimal data separating the B and C
-series.  Components are recognized by matching them against the standard
-diagrams of `standard_component`, the one place the shapes are encoded,
-which number their nodes in the Bourbaki convention:
+series.  `validate_diagram` recognizes each component of an arbitrary graph
+by matching it against the standard diagrams of `standard_component`, the
+one place the shapes are encoded; `standard_diagram` trusts
+`standard_component` and recognizes nothing.  Standard diagrams number
+their nodes in the Bourbaki convention:
 
 * A_n   chain a1 - a2 - ... - an
 * B_n   chain with a double edge at the end, the extreme root short
@@ -76,6 +78,15 @@ class TypeLabel:
 
 def validate_diagram(nodes, edges, parabolic=(), torus_rank: int = 0) -> DynkinData:
     """Build a DynkinData, rejecting anything outside the A-G classification."""
+    d = _assemble(nodes, edges, parabolic, torus_rank)
+    for comp in components(d):
+        if not component_labels(d, comp):
+            raise UnknownDiagram(f"component {sorted(comp)} is not of finite type")
+    return d
+
+
+def _assemble(nodes, edges, parabolic, torus_rank: int) -> DynkinData:
+    """A DynkinData after the node, edge and parabolic checks, unrecognized."""
     nodes = tuple(str(n) for n in nodes)
     if len(set(nodes)) != len(nodes):
         raise ValidationError("duplicate node identifiers")
@@ -110,12 +121,8 @@ def validate_diagram(nodes, edges, parabolic=(), torus_rank: int = 0) -> DynkinD
         raise BadParabolic(f"parabolic nodes outside the diagram: "
                            f"{sorted(parabolic - node_set)}")
 
-    d = DynkinData(nodes, tuple(sorted(norm_edges, key=lambda e: (e.a, e.b))),
-                   torus_rank, parabolic)
-    for comp in components(d):
-        if not component_labels(d, comp):
-            raise UnknownDiagram(f"component {sorted(comp)} is not of finite type")
-    return d
+    return DynkinData(nodes, tuple(sorted(norm_edges, key=lambda e: (e.a, e.b))),
+                      torus_rank, parabolic)
 
 
 @lru_cache(maxsize=None)
@@ -355,11 +362,12 @@ def standard_component(family: str, rank: int, prefix: str
 
 
 def standard_diagram(component_specs, torus_rank: int = 0, parabolic=()) -> DynkinData:
-    """Assemble a diagram from (family, rank, prefix) component specs."""
+    """Assemble a diagram from (family, rank, prefix) component specs, with the
+    checks of `validate_diagram` but no recognition: each one is standard."""
     nodes: list[str] = []
     edges: list[DynkinEdge] = []
     for family, rank, prefix in component_specs:
         ns, es = standard_component(family, rank, prefix)
         nodes += ns
         edges += es
-    return validate_diagram(nodes, edges, parabolic, torus_rank)
+    return _assemble(nodes, edges, parabolic, torus_rank)

@@ -2,9 +2,12 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from horofan import classification as cl
 from horofan import document as doc
+from horofan import dynkin as dk
 from horofan.errors import (DimensionMismatch, ParseError,
                             UnresolvedIdentifier)
 
@@ -108,3 +111,50 @@ def test_build_classifies_golden():
     diagram, _, fan = doc.build(doc.parse(load("a3_colour_line.json")))
     v = cl.classify(fan, diagram)
     assert v.factorial and not v.smooth and not v.quotient_singularities
+
+
+def test_build_recognizes_no_diagram(monkeypatch):
+    # a document names each component by family and rank, so `build`
+    # assembles the standard diagram and never searches for its type
+    for f in vars(dk).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    calls = []
+    component_labels = dk.component_labels
+
+    def counted(d, nodes):
+        calls.append(nodes)
+        return component_labels(d, nodes)
+    monkeypatch.setattr(dk, "component_labels", counted)
+    for name in ("a3_colour_line.json", "p2.json", "ray_with_torus_factor.json"):
+        doc.build(doc.parse(load(name)))
+    assert calls == []
+
+
+_STRINGS = st.one_of(
+    st.text(max_size=6),
+    st.text(st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t a\xe9\u2028\u4e2d\U0001f600'),
+            max_size=6))
+_INTS = st.one_of(st.integers(-1000, 1000), st.integers(2**64, 2**200),
+                  st.integers(-2**200, -2**64))
+_REPORTS = st.recursive(
+    st.one_of(st.none(), st.booleans(), _INTS, _STRINGS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_STRINGS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(_REPORTS)
+@settings(max_examples=300, deadline=None)
+@seed(47)
+@example({"\xe9\u2028\"\\\x00": [[], {}, (), (-2**65, 2**64 + 1), True, False, None],
+          "": {"b": 0, "a": [1]}})
+def test_canonical_json_matches_json_dumps(report):
+    assert doc.canonical_json(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+def test_canonical_json_refuses_floats_and_non_str_keys():
+    for bad in (1.5, [0.0], {"a": 2.0}, {1: "a"}, {"a": {2: 3}}, {"a": 1, 2: 3}):
+        with pytest.raises(TypeError):
+            doc.canonical_json(bad)

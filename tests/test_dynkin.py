@@ -240,3 +240,31 @@ def test_numberings_match_permutation_oracle():
                     found[key] = found.get(key, 0) + 1
     assert found[None] > 100  # cycles, and edges no standard diagram has
     assert {("B", 4), ("C", 5), ("D", 4), ("D", 5), ("F", 4), ("G", 2)} <= set(found)
+
+
+def test_standard_diagram_matches_validated_diagram():
+    # `standard_diagram` skips recognition; `validate_diagram` recognizes the
+    # same graph, so the two must agree and every component must have a label
+    rng = random.Random(31)
+    singles = [[(f, r, f"{f}{r}")] for f in dk.FAMILIES for r in range(1, 9)
+               if dk._STANDARD_RANKS[f](r)]
+    repeated = [[("A", 1, "A1"), ("A", 1, "A1_2")],
+                [("B", 3, "B3"), ("A", 1, "A1"), ("B", 3, "B3_2"), ("A", 1, "A1_2")],
+                [("G", 2, "G2"), ("D", 4, "D4"), ("E", 6, "E6"), ("C", 2, "C2")]]
+    assert len(singles) == 8 + 7 + 7 + 5 + 3 + 1 + 1
+    for specs in singles + repeated:
+        nodes, edges = [], []
+        for spec in specs:
+            ns, es = dk.standard_component(*spec)
+            nodes += ns
+            edges += es
+        for _ in range(4):
+            parabolic = [n for n in nodes if rng.random() < 0.5]
+            t = rng.randint(0, 3)
+            d = dk.standard_diagram(specs, t, parabolic)
+            assert d == dk.validate_diagram(nodes, edges, parabolic, t)
+            assert all(dk.component_labels(d, comp) for comp in dk.components(d))
+    with pytest.raises(BadParabolic):
+        dk.standard_diagram([("A", 2, "A2")], parabolic=["A2.3"])
+    with pytest.raises(ValidationError):
+        dk.standard_diagram([("A", 1, "A1"), ("A", 1, "A1")])
