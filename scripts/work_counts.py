@@ -12,10 +12,15 @@ after it.  Prints, for one pass: the calls of `cones.extreme_rays` with
 the inequality rows and equalities fed to them, the uncached
 `cones.intersect` calls, the uncached `dynkin.component_labels` calls (the
 Dynkin type searches), and the calls of `lattice._snf` and
-`lattice._bareiss`.  The counts do not depend on the machine.
+`lattice._bareiss`; then the modules that `import horofan.cli` adds to a
+fresh interpreter (a subprocess importing the same `horofan`), which
+every command loads before its first op.  The counts do not depend on the
+machine.
 """
 
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -55,6 +60,23 @@ def run_op(text: str, command: str) -> dict:
     return report
 
 
+_NEW_MODULES = """
+import sys
+before = set(sys.modules)
+import horofan.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def cli_modules() -> list[str]:
+    """The modules `import horofan.cli` loads, counted in a fresh process."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _NEW_MODULES], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -82,6 +104,10 @@ def main() -> int:
                 "intersect uncached", "component_labels uncached", "_snf calls",
                 "_bareiss calls"):
         print(f"{key}: {counts[key]}")
+    modules = cli_modules()
+    own = sum(m.split(".")[0] == "horofan" for m in modules)
+    print(f"modules imported by horofan.cli: {len(modules)} "
+          f"({own} horofan, {len(modules) - own} stdlib)")
     return 0
 
 

@@ -15,25 +15,22 @@ Globally, over the whole fan:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import dynkin, lattice
 from .dynkin import DynkinData
 from .errors import ColourSetMismatch
 from .fans import ColouredCone, ColouredFan, ColouredLattice, coloured_rays
 from .lattice import Vec
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ConeClassification:
+class ConeClassification(Record):
     simplicial: bool
     regular: bool
     vivid: bool
     toroidal: bool
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     cones: tuple[ConeClassification, ...]  # aligned with fan.cones
     q_factorial: bool
     factorial: bool

@@ -248,8 +248,7 @@ def main(argv=None) -> int:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error[IO]: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return fail(ParseError(f"cannot read the file: {exc}"), EXIT_PARSE)
     except UnicodeDecodeError as exc:
         return fail(ParseError(f"file is not UTF-8: {exc.reason} at byte "
                                f"{exc.start}"), EXIT_PARSE)

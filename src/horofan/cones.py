@@ -20,21 +20,20 @@ equality is equality of ray sets; normals and equations are not canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
 
 from . import lattice
 from .errors import DimensionMismatch, NotStronglyConvex, ZeroVector
 from .lattice import Mat, Vec, dot, rank_of
+from .record import Record
 
 OUTSIDE = "outside"
 BOUNDARY = "boundary"
 RELATIVE_INTERIOR = "relative_interior"
 
 
-@dataclass(frozen=True, eq=False)
-class Cone:
+class Cone(Record):
     """Rays, one normal per facet, dim (the rank of the rays, stored), and
     equations generating the linear forms that vanish on span(rays); from
     `cone_from_generators` they are the lineality basis of the dual cone.

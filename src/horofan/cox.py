@@ -14,8 +14,6 @@ quotient rank records the split-off torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import cones as pc
 from . import dynkin as dk
 from . import lattice
@@ -24,20 +22,19 @@ from .errors import HasTorusFactors
 from .fans import (ColouredCone, ColouredFan, ColouredLattice, map_fan,
                    validate_fan)
 from .lattice import FGAbelianGroup, Mat, Vec
+from .record import Record
 
 # basis_index entries: ("colour", name) or ("ray", primitive generator)
 BasisTag = tuple[str, object]
 
 
-@dataclass(frozen=True)
-class TorusSplit:
+class TorusSplit(Record):
     n_prime_basis: Mat
     quotient_rank: int
     restricted_fan: ColouredFan
 
 
-@dataclass(frozen=True)
-class CoxData:
+class CoxData(Record):
     basis_index: tuple[BasisTag, ...]
     n_hat_rank: int
     mu: Mat  # rank(N) x n_hat_rank, one column per basis tag
@@ -118,8 +115,7 @@ def cox_construct(fan: ColouredFan) -> CoxData:
     )
 
 
-@dataclass(frozen=True)
-class CoxConsistency:
+class CoxConsistency(Record):
     """Cross-checks tying the input fan to its Cox data.
 
     `orthant_shape` and `affine_space` are None unless the input fan is

@@ -27,7 +27,6 @@ work quadratic in a huge rank.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from . import cones as pc
@@ -35,19 +34,18 @@ from . import dynkin as dk
 from .errors import DimensionMismatch, ParseError, UnresolvedIdentifier
 from .fans import ColouredCone, ColouredFan, ColouredLattice, validate_fan
 from .lattice import Vec, freeze_vector
+from .record import Record
 
 MAX_LATTICE_RANK = 64
 MAX_COMPONENT_RANK = 64
 
 
-@dataclass(frozen=True)
-class GroupComponent:
+class GroupComponent(Record):
     family: str
     rank: int
 
 
-@dataclass(frozen=True)
-class FanDocument:
+class FanDocument(Record):
     components: tuple[GroupComponent, ...]
     torus_rank: int
     parabolic: tuple[str, ...]

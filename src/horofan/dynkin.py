@@ -26,7 +26,6 @@ colour condition needs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
@@ -37,12 +36,12 @@ from .errors import (
     UnknownNode,
     ValidationError,
 )
+from .record import Record
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 
-@dataclass(frozen=True)
-class DynkinEdge:
+class DynkinEdge(Record):
     a: str
     b: str
     multiplicity: int = 1
@@ -52,14 +51,13 @@ class DynkinEdge:
         return frozenset((self.a, self.b))
 
 
-@dataclass(frozen=True)
-class DynkinData:
+class DynkinData(Record):
     """Decorated graph of simple roots plus a parabolic subset."""
 
     nodes: tuple[str, ...]
     edges: tuple[DynkinEdge, ...]
     torus_rank: int = 0
-    parabolic: frozenset[str] = field(default_factory=frozenset)
+    parabolic: frozenset[str] = frozenset()
 
     @property
     def colours(self) -> tuple[str, ...]:
@@ -67,8 +65,7 @@ class DynkinData:
         return tuple(n for n in self.nodes if n not in self.parabolic)
 
 
-@dataclass(frozen=True)
-class TypeLabel:
+class TypeLabel(Record):
     """A family, rank, and Bourbaki numbering of one connected component."""
 
     family: str

@@ -22,8 +22,6 @@ owns the canonical member order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import cones as pc
 from .errors import (
     ColourPointOutsideCone,
@@ -35,10 +33,10 @@ from .errors import (
     ZeroColourPoint,
 )
 from .lattice import Vec, freeze_vector
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ColouredLattice:
+class ColouredLattice(Record):
     rank: int
     colours: tuple[str, ...]
     colour_points: tuple[Vec, ...]
@@ -66,8 +64,7 @@ class ColouredLattice:
         return self.colours.index(colour)
 
 
-@dataclass(frozen=True)
-class ColouredCone:
+class ColouredCone(Record):
     cone: pc.Cone
     colours: frozenset[str]
 
@@ -82,8 +79,7 @@ def _sort_key(L: ColouredLattice):
     return key
 
 
-@dataclass(frozen=True)
-class ColouredFan:
+class ColouredFan(Record):
     """Trusts its members to form a fan; sorts them by (dim, rays, colour
     order), the order `local --cone INDEX` numbers."""
 

@@ -11,11 +11,11 @@ modular or sparse acceleration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
 from .errors import DimensionMismatch
+from .record import Record
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -313,8 +313,7 @@ def vector_gcd(v: Vec) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(Record):
     """Finitely generated abelian group: free rank plus invariant factors.
 
     The torsion factors satisfy d1 | d2 | ... and every factor is >= 2.

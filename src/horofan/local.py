@@ -10,16 +10,14 @@ simplicial, less regular, or less vivid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import dynkin
 from .dynkin import DynkinData
 from .errors import ColourSetMismatch, UnknownColour
 from .fans import ColouredCone, ColouredFan, ColouredLattice
+from .record import Record
 
 
-@dataclass(frozen=True)
-class LocalModel:
+class LocalModel(Record):
     levi_diagram: DynkinData
     restricted_lattice: ColouredLattice
     cone: ColouredCone

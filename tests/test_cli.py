@@ -132,9 +132,43 @@ def test_exit_code_precondition(capsys):
     assert rep["error"]["code"] == "HasTorusFactors"
 
 
-def test_missing_file(capsys):
-    code, out, err = run_cli(capsys, "classify", "no_such_file.json")
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("path", ["no_such_file.json", GOLDENS],
+                         ids=["missing", "directory"])
+def test_missing_file(capsys, path, fmt):
+    # an unreadable FILE fails like any other parse error: exit 2, and in
+    # the machine format the JSON error object on stdout
+    code, out, err = run_cli(capsys, "classify", path, "--format", fmt)
     assert code == cli.EXIT_PARSE
+    if fmt == "machine":
+        error = json.loads(out)["error"]
+        assert error["code"] == "ParseError"
+        assert error["message"].startswith("cannot read the file: [Errno")
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.startswith("error[ParseError]: cannot read the file: [Errno")
+
+
+_NEW_MODULES = """
+import sys
+before = set(sys.modules)
+import horofan.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_does_not_load_dataclasses_inspect_or_ast():
+    # a command's cold start pays for every module `import horofan.cli`
+    # loads; these three and the classes built with them were about a
+    # fifth of it
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", _NEW_MODULES],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    new = set(done.stdout.split())
+    assert "horofan.cli" in new
+    assert not new & {"dataclasses", "inspect", "ast"}
 
 
 def test_text_format(capsys):
