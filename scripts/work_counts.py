@@ -11,7 +11,7 @@ per-document forks start empty, and a `split` document feeds the commands
 after it.  Prints, for one pass: the calls of `cones.extreme_rays` with
 the inequality rows and equalities fed to them, the uncached
 `cones.intersect` calls, the uncached `dynkin.component_labels` calls (the
-Dynkin type searches), and the calls of `lattice._snf` and
+Dynkin type searches), and the calls of `lattice.smith_normal_form` and
 `lattice._bareiss`; then the modules that `import horofan.cli` adds to a
 fresh interpreter (a subprocess importing the same `horofan`), which
 every command loads before its first op.  The counts do not depend on the
@@ -41,8 +41,9 @@ def counting(counts: Counter) -> None:
         return extreme_rays(rows, k, eqs)
     cones.extreme_rays = counted_extreme_rays
 
-    for name in ("_snf", "_bareiss"):
-        def counted(*args, fn=getattr(lattice, name), key=f"{name} calls", **kwargs):
+    for name, key in (("smith_normal_form", "SNF calls"),
+                      ("_bareiss", "_bareiss calls")):
+        def counted(*args, fn=getattr(lattice, name), key=key, **kwargs):
             counts[key] += 1
             return fn(*args, **kwargs)
         setattr(lattice, name, counted)
@@ -101,7 +102,7 @@ def main() -> int:
                 dynkin.component_labels.cache_info().misses
     print(f"ops per pass: {ops}")
     for key in ("extreme_rays calls", "extreme_rays rows", "extreme_rays eqs",
-                "intersect uncached", "component_labels uncached", "_snf calls",
+                "intersect uncached", "component_labels uncached", "SNF calls",
                 "_bareiss calls"):
         print(f"{key}: {counts[key]}")
     modules = cli_modules()

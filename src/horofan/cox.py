@@ -49,7 +49,7 @@ def torus_split(fan: ColouredFan) -> TorusSplit:
     L = fan.lattice
     points = [m.cone.rays[0] for m in fan.ray_members()]
     points += list(L.colour_points)
-    basis, coords, _ = lattice.span_coordinates(points, L.rank)
+    basis, coords = lattice.span_coordinates(points, L.rank)
     at = dict(zip(points, coords))
     return TorusSplit(
         n_prime_basis=basis,

@@ -2,11 +2,11 @@
 
 Vectors are tuples of Python ints and matrices are tuples of row tuples, so
 everything here is exact at arbitrary precision.  The two workhorses are
-Bareiss elimination (ranks, determinants) and a Smith normal form with
-tracked unimodular transforms, on which saturation and cokernels are
-built; basis extension eliminates one row at a time instead.  Intended for
-desk-scale inputs (ranks up to about a dozen); there is deliberately no
-modular or sparse acceleration.
+Bareiss elimination (ranks, determinants) and one Smith normal form, which
+always returns both unimodular transforms and on which saturation and
+cokernels are built; basis extension eliminates one row at a time instead.
+Intended for desk-scale inputs (ranks up to about a dozen); there is
+deliberately no modular or sparse acceleration.
 """
 
 from __future__ import annotations
@@ -113,66 +113,33 @@ def determinant(A: Mat) -> int:
     return sign * M[-1][-1] if rank == len(M) else 0
 
 
-class _SnfState:
-    """Mutable D = U @ A @ V, tracking only the requested transforms.
+def smith_normal_form(A) -> tuple[Mat, Mat, Mat]:
+    """Smith normal form: (U, D, V) with U @ A @ V == D.
 
-    U, V and Vinv are lists of rows, or None when the caller does not read
-    them.  Row operations update D and U; column operations update D, V and
-    (by the inverse row operation) Vinv, preserving U @ A @ V == D and
-    V @ Vinv == I.
+    U and V are unimodular and D is diagonal with nonnegative entries in a
+    divisibility chain d1 | d2 | ...  Deterministic: the pivot is the
+    minimal-absolute-value nonzero entry of the remaining block, ties
+    broken in row-major order.
     """
+    A = freeze_matrix(A)
+    nrows = len(A)
+    ncols = _check_rectangular([list(r) for r in A])
+    # One working matrix: each row of D carries its row of U to its right
+    # and the rows of V sit below, so one row operation updates D and U and
+    # one column operation updates D and V, keeping U @ A @ V == D.
+    D = [list(row) + list(u) for row, u in zip(A, identity(nrows))]
+    D += map(list, identity(ncols))
 
-    def __init__(self, A: Mat, nrows: int, ncols: int,
-                 u: bool, v: bool, vinv: bool):
-        self.D = [list(row) for row in A]
-        self.U = [list(r) for r in identity(nrows)] if u else None
-        self.V = [list(r) for r in identity(ncols)] if v else None
-        self.Vinv = [list(r) for r in identity(ncols)] if vinv else None
+    def row_addmul(i: int, j: int, q: int) -> None:  # row_i += q * row_j
+        D[i] = [a + q * b for a, b in zip(D[i], D[j])]
 
-    def row_swap(self, i: int, j: int) -> None:
-        for M in (self.D, self.U):
-            if M is not None:
-                M[i], M[j] = M[j], M[i]
+    def col_addmul(j: int, k: int, q: int) -> None:  # col_j += q * col_k
+        for r in D:
+            r[j] += q * r[k]
 
-    def row_negate(self, i: int) -> None:
-        for M in (self.D, self.U):
-            if M is not None:
-                M[i] = [-x for x in M[i]]
-
-    def row_addmul(self, i: int, j: int, q: int) -> None:
-        """row_i += q * row_j"""
-        for M in (self.D, self.U):
-            if M is not None:
-                M[i] = [a + q * b for a, b in zip(M[i], M[j])]
-
-    def col_swap(self, i: int, j: int) -> None:
-        for M in (self.D, self.V):
-            if M is not None:
-                for r in M:
-                    r[i], r[j] = r[j], r[i]
-        if self.Vinv is not None:
-            self.Vinv[i], self.Vinv[j] = self.Vinv[j], self.Vinv[i]
-
-    def col_addmul(self, j: int, k: int, q: int) -> None:
-        """col_j += q * col_k"""
-        for M in (self.D, self.V):
-            if M is not None:
-                for r in M:
-                    r[j] += q * r[k]
-        if self.Vinv is not None:
-            self.Vinv[k] = [a - q * b for a, b in zip(self.Vinv[k], self.Vinv[j])]
-
-
-def _snf(A: Mat, nrows: int, ncols: int, *, u: bool = False, v: bool = False,
-         vinv: bool = False) -> tuple[Mat | None, Mat, Mat | None, Mat | None]:
-    """Return (U, D, V, Vinv) with U @ A @ V == D in Smith normal form.
-
-    U, V and Vinv = V^-1 are computed only when asked for, else None.
-    Deterministic: the pivot is the minimal-absolute-value nonzero entry of
-    the remaining block, ties broken in row-major order.
-    """
-    s = _SnfState(A, nrows, ncols, u, v, vinv)
-    D = s.D
+    def col_swap(i: int, j: int) -> None:
+        for r in D:
+            r[i], r[j] = r[j], r[i]
 
     def clear(t: int) -> None:
         # Zero out column t below and row t right of the pivot; whenever a
@@ -181,17 +148,17 @@ def _snf(A: Mat, nrows: int, ncols: int, *, u: bool = False, v: bool = False,
         while True:
             for i in range(t + 1, nrows):
                 if D[i][t]:
-                    s.row_addmul(i, t, -(D[i][t] // D[t][t]))
+                    row_addmul(i, t, -(D[i][t] // D[t][t]))
             rem = next((i for i in range(t + 1, nrows) if D[i][t]), None)
             if rem is not None:
-                s.row_swap(t, rem)
+                D[t], D[rem] = D[rem], D[t]
                 continue
             for j in range(t + 1, ncols):
                 if D[t][j]:
-                    s.col_addmul(j, t, -(D[t][j] // D[t][t]))
+                    col_addmul(j, t, -(D[t][j] // D[t][t]))
             rem = next((j for j in range(t + 1, ncols) if D[t][j]), None)
             if rem is not None:
-                s.col_swap(t, rem)
+                col_swap(t, rem)
                 continue
             return
 
@@ -205,9 +172,9 @@ def _snf(A: Mat, nrows: int, ncols: int, *, u: bool = False, v: bool = False,
         if best is None:
             break
         if best[0] != t:
-            s.row_swap(t, best[0])
+            D[t], D[best[0]] = D[best[0]], D[t]
         if best[1] != t:
-            s.col_swap(t, best[1])
+            col_swap(t, best[1])
         while True:
             clear(t)
             piv = D[t][t]
@@ -220,26 +187,13 @@ def _snf(A: Mat, nrows: int, ncols: int, *, u: bool = False, v: bool = False,
                 break
             # Pull a non-divisible entry into row t; the next clear() shrinks
             # the pivot, so this terminates.
-            s.row_addmul(t, viol, 1)
+            row_addmul(t, viol, 1)
         if D[t][t] < 0:
-            s.row_negate(t)
+            D[t] = [-x for x in D[t]]
 
-    def frz(M):
-        return None if M is None else freeze_matrix(M)
-    return frz(s.U), freeze_matrix(s.D), frz(s.V), frz(s.Vinv)
-
-
-def smith_normal_form(A) -> tuple[Mat, Mat, Mat]:
-    """Smith normal form: (U, D, V) with U @ A @ V == D.
-
-    U and V are unimodular and D is diagonal with nonnegative entries in a
-    divisibility chain d1 | d2 | ...; the output is deterministic.
-    """
-    A = freeze_matrix(A)
-    nrows = len(A)
-    ncols = _check_rectangular([list(r) for r in A])
-    U, D, V, _ = _snf(A, nrows, ncols, u=True, v=True)
-    return U, D, V
+    return (tuple(tuple(r[ncols:]) for r in D[:nrows]),
+            tuple(tuple(r[:ncols]) for r in D[:nrows]),
+            tuple(map(tuple, D[nrows:])))
 
 
 def extends_to_Z_basis(vs, ambient_rank: int) -> bool:
@@ -268,33 +222,32 @@ def extends_to_Z_basis(vs, ambient_rank: int) -> bool:
     return True
 
 
-def saturation_with_extension(vs, ncols: int | None = None) -> tuple[Mat, Mat]:
+def saturation_with_extension(vs, ncols: int) -> tuple[Mat, Mat]:
     """Basis of the saturation of the row span, plus coordinates in it.
 
     Returns (B, Binv) where the rows of B are a Z-basis of
-    span_Q(vs) ∩ Z^n, and Binv is the inverse of a unimodular matrix whose
-    first len(B) rows are B: a vector x of the span has coordinates
+    span_Q(vs) ∩ Z^ncols, and Binv is the inverse of a unimodular matrix
+    whose first len(B) rows are B: a vector x of the span has coordinates
     (x @ Binv)[:len(B)] in the basis B, and the remaining entries of
-    x @ Binv vanish exactly on the span.  `ncols` is required when vs is
-    empty.
+    x @ Binv vanish exactly on the span.  Binv is the V of the Smith normal
+    form U @ vs @ V == D; since U @ vs == D @ V^-1, row i of B is row i of
+    U @ vs divided by d_i.
     """
     vs = freeze_matrix(vs)
-    if vs:
-        n = _check_rectangular([list(r) for r in vs])
-    elif ncols is None:
-        raise DimensionMismatch("ambient rank needed for an empty generating set")
-    else:
-        n = ncols
-    if ncols is not None and vs and n != ncols:
+    if not vs:
+        return (), identity(ncols)
+    if len(vs[0]) != ncols:
         raise DimensionMismatch("ambient rank disagrees with vector length")
-    _, D, V, Vinv = _snf(vs, len(vs), n, v=True, vinv=True)
-    r = sum(1 for i in range(min(len(vs), n)) if D[i][i])
-    return Vinv[:r], V
+    U, D, V = smith_normal_form(vs)
+    rank = sum(1 for i in range(min(len(vs), ncols)) if D[i][i])
+    basis = tuple(tuple(x // D[i][i] for x in vec_mat(U[i], vs))
+                  for i in range(rank))
+    return basis, V
 
 
-def span_coordinates(vs, ncols: int) -> tuple[Mat, Mat, Mat]:
-    """(B, coords, Binv): a saturated basis B of the span of vs, the
-    coordinates of each v in B, and Binv from `saturation_with_extension`."""
+def span_coordinates(vs, ncols: int) -> tuple[Mat, Mat]:
+    """(B, coords): a saturated basis B of the span of vs and the
+    coordinates of each v in B, read off `saturation_with_extension`."""
     basis, Binv = saturation_with_extension(vs, ncols)
     d = len(basis)
     coords = []
@@ -303,7 +256,7 @@ def span_coordinates(vs, ncols: int) -> tuple[Mat, Mat, Mat]:
         if any(full[d:]):
             raise AssertionError("vector not in the saturated span")
         coords.append(full[:d])
-    return basis, tuple(coords), Binv
+    return basis, tuple(coords)
 
 
 def vector_gcd(v: Vec) -> int:
@@ -349,10 +302,7 @@ class FGAbelianGroup(Record):
 
 def cokernel_structure(A) -> FGAbelianGroup:
     """Structure of Z^rows / (column span of A)."""
-    A = freeze_matrix(A)
-    nrows = len(A)
-    ncols = _check_rectangular([list(r) for r in A])
-    _, D, _, _ = _snf(A, nrows, ncols)
-    diag = [D[i][i] for i in range(min(nrows, ncols)) if D[i][i]]
-    return FGAbelianGroup(free_rank=nrows - len(diag),
+    _, D, _ = smith_normal_form(A)
+    diag = [row[i] for i, row in enumerate(D) if i < len(row) and row[i]]
+    return FGAbelianGroup(free_rank=len(D) - len(diag),
                           torsion=tuple(d for d in diag if d > 1))

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import pathlib
@@ -10,8 +11,10 @@ import pytest
 
 from horofan import cli
 from horofan import document as docmod
+from horofan import sampling as S
 
 GOLDENS = pathlib.Path(__file__).parent.parent / "goldens"
+SPLIT_DIGEST = "78ae4bb0fbe72bcbc892ec1311ade3366625f3dd508671d363d8e4e334b66780"
 
 
 def run_cli(capsys, *args):
@@ -100,6 +103,34 @@ def test_split_then_cox(tmp_path, capsys):
     code2, rep2, _ = machine(capsys, "cox", restricted)
     assert code2 == 0
     assert rep2["class_group"] == {"free_rank": 0, "torsion": []}
+
+
+def _random_document(rng):
+    """A seeded coloured fan with a torus factor, as a document."""
+    d = S.random_diagram(rng)
+    fan = S.random_coloured_fan(rng, d, rng.randint(1, 3),
+                                n_hyperplanes=rng.randint(1, 2))
+    fan = S.embed_with_torus_factor(rng, fan, rng.randint(1, 2))
+    prefixes = dict.fromkeys(node.split(".")[0] for node in d.nodes)
+    components = tuple(docmod.GroupComponent(p[0], int(p[1:].split("_")[0]))
+                       for p in prefixes)
+    template = docmod.FanDocument(
+        components=components, torus_rank=d.torus_rank,
+        parabolic=tuple(n for n in d.nodes if n in d.parabolic),
+        lattice_rank=0, colour_points=(), cones=())
+    return docmod.document_for_fan(template, fan)
+
+
+def test_split_machine_bytes_on_random_fans():
+    # n_prime_basis is the one output read off the inverse column transform
+    # of the Smith normal form; the digest pins it beyond the single golden
+    rng = random.Random(1512)
+    digest = hashlib.sha256()
+    for _ in range(30):
+        report = cli.run(_random_document(rng), "split")
+        assert report["quotient_rank"] >= 1
+        digest.update(cli.render_machine(report).encode())
+    assert digest.hexdigest() == SPLIT_DIGEST
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

@@ -357,7 +357,7 @@ def test_work_counts_of_intersect_and_contains(monkeypatch):
     # extreme rays off the masks
     a = pc.cone_from_generators([(1, 0, 0, 0), (0, 1, 0, 0)], 4)
     b = pc.cone_from_generators([(1, 1, 0, 0), (0, 0, 1, 0)], 4)
-    calls = {"_snf": 0, "_bareiss": 0, "cone_from_generators": 0}
+    calls = {"smith_normal_form": 0, "_bareiss": 0, "cone_from_generators": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -367,7 +367,7 @@ def test_work_counts_of_intersect_and_contains(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((lattice, "_snf"), (lattice, "_bareiss"),
+    for module, name in ((lattice, "smith_normal_form"), (lattice, "_bareiss"),
                          (pc, "cone_from_generators")):
         counted(module, name)
     conversions = []
@@ -380,7 +380,7 @@ def test_work_counts_of_intersect_and_contains(monkeypatch):
     pc.intersect.cache_clear()
     pc.faces.cache_clear()
     assert pc.intersect(a, b).rays == ((1, 1, 0, 0),)
-    assert calls["_snf"] == calls["cone_from_generators"] == 0
+    assert calls["smith_normal_form"] == calls["cone_from_generators"] == 0
     # one conversion: the normals as rows, the equations as equalities
     assert conversions == [(len(a.facet_normals) + len(b.facet_normals),
                             a.equations + b.equations)]
@@ -391,10 +391,10 @@ def test_work_counts_of_intersect_and_contains(monkeypatch):
     assert calls["_bareiss"] == 0
     c = pc.cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
     assert len(c.rays) == 4 and c.dim == 3
-    assert calls["_snf"] == 0 and calls["_bareiss"] == 0
+    assert calls["smith_normal_form"] == 0 and calls["_bareiss"] == 0
     c = pc.cone_from_generators([(1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 2, 0)], 4)
     assert len(c.rays) == 2 and c.dim == 2
-    assert calls["_snf"] == 0 and calls["_bareiss"] == 0
+    assert calls["smith_normal_form"] == 0 and calls["_bareiss"] == 0
 
 
 def test_faces_closed_under_intersection():

@@ -47,6 +47,25 @@ def test_snf_deterministic():
     assert lat.smith_normal_form(A) == lat.smith_normal_form(A)
 
 
+def test_one_smith_normal_form(monkeypatch):
+    # cokernels and saturations run one SNF each, through the public name,
+    # and an empty generating set runs none
+    calls = []
+    snf = lat.smith_normal_form
+
+    def counted(A):
+        calls.append(A)
+        return snf(A)
+    monkeypatch.setattr(lat, "smith_normal_form", counted)
+    assert lat.cokernel_structure([(2, 0), (0, 3)]) == lat.FGAbelianGroup(0, (6,))
+    assert len(calls) == 1
+    assert lat.saturation_with_extension([(2, 4, 0)], 3)[0] == ((1, 2, 0),)
+    assert len(calls) == 2
+    assert lat.saturation_with_extension([], 3) == ((), lat.identity(3))
+    assert len(calls) == 2
+    assert not hasattr(lat, "_snf") and not hasattr(lat, "_SnfState")
+
+
 def test_extends_to_Z_basis():
     assert lat.extends_to_Z_basis([(1, 0), (0, 1)], 2)
     assert not lat.extends_to_Z_basis([(1, 0), (1, 2)], 2)
