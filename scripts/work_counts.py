@@ -10,8 +10,7 @@ module caches are cleared before each document, as the benchmark's
 per-document forks start empty, and a `split` document feeds the commands
 after it.  Prints, for one pass: the calls of `cones.extreme_rays` with
 the inequality rows and equalities fed to them, the uncached
-`cones.intersect` calls, the uncached `dynkin.component_labels` calls (the
-Dynkin type searches), and the calls of `lattice.smith_normal_form` and
+`cones.intersect` calls, and the calls of `lattice.smith_normal_form` and
 `lattice._bareiss`; then the modules that `import horofan.cli` adds to a
 fresh interpreter (a subprocess importing the same `horofan`), which
 every command loads before its first op.  The counts do not depend on the
@@ -98,12 +97,9 @@ def main() -> int:
                     text = json.dumps(report["document"], sort_keys=True)
                 ops += 1
             counts["intersect uncached"] += cones.intersect.cache_info().misses
-            counts["component_labels uncached"] += \
-                dynkin.component_labels.cache_info().misses
     print(f"ops per pass: {ops}")
     for key in ("extreme_rays calls", "extreme_rays rows", "extreme_rays eqs",
-                "intersect uncached", "component_labels uncached", "SNF calls",
-                "_bareiss calls"):
+                "intersect uncached", "SNF calls", "_bareiss calls"):
         print(f"{key}: {counts[key]}")
     modules = cli_modules()
     own = sum(m.split(".")[0] == "horofan" for m in modules)

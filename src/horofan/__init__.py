@@ -16,9 +16,8 @@ from .cones import BOUNDARY, OUTSIDE, RELATIVE_INTERIOR, Cone, \
 from .cox import CoxConsistency, CoxData, TorusSplit, cox_consistency, \
     cox_construct, has_torus_factors, torus_split
 from .document import FanDocument, build, parse, render
-from .dynkin import DynkinData, DynkinEdge, TypeLabel, connected_component, \
-    is_projective_space_product, recognize_type, standard_diagram, \
-    validate_diagram, vivid_colour_ok
+from .dynkin import DynkinData, DynkinEdge, connected_component, \
+    is_projective_space_product, standard_diagram, vivid_colour_ok
 from .fans import ColouredCone, ColouredFan, ColouredLattice, coloured_face, \
     coloured_rays, validate_fan
 from .lattice import FGAbelianGroup, cokernel_structure, extends_to_Z_basis, \
@@ -32,14 +31,12 @@ __all__ = [
     "ColouredCone", "ColouredFan", "ColouredLattice", "Cone",
     "ConeClassification", "CoxConsistency", "CoxData", "DynkinData",
     "DynkinEdge", "FGAbelianGroup", "FanDocument", "LocalModel", "TorusSplit",
-    "TypeLabel", "Verdict",
-    "affine_local", "build", "classify", "classify_cone", "cokernel_structure",
-    "coloured_face", "coloured_rays", "cone_from_generators",
+    "Verdict", "affine_local", "build", "classify", "classify_cone",
+    "cokernel_structure", "coloured_face", "coloured_rays", "cone_from_generators",
     "connected_component", "contains", "cox_consistency", "cox_construct",
     "decolour", "extends_to_Z_basis", "extreme_rays", "faces", "has_torus_factors",
     "intersect", "is_face_of", "is_projective_space_product", "is_regular",
-    "is_simplicial", "is_vivid", "parse", "primitive", "rank_of",
-    "recognize_type", "render", "simplicial_multiset", "smith_normal_form",
-    "standard_diagram", "torus_split", "validate_diagram", "validate_fan",
-    "vivid_colour_ok", "zero_cone",
+    "is_simplicial", "is_vivid", "parse", "primitive", "rank_of", "render",
+    "simplicial_multiset", "smith_normal_form", "standard_diagram", "torus_split",
+    "validate_fan", "vivid_colour_ok", "zero_cone",
 ]

@@ -3,11 +3,9 @@
 A diagram is an undirected decorated graph: edges carry a multiplicity in
 {1, 2, 3} and, when the multiplicity exceeds 1, a marker naming the endpoint
 that is the long root.  That is the minimal data separating the B and C
-series.  `validate_diagram` recognizes each component of an arbitrary graph
-by matching it against the standard diagrams of `standard_component`, the
-one place the shapes are encoded; `standard_diagram` trusts
-`standard_component` and recognizes nothing.  Standard diagrams number
-their nodes in the Bourbaki convention:
+series.  `standard_component` is the one place the shapes are encoded;
+`standard_diagram` assembles them and recognizes nothing.  Standard
+diagrams number their nodes in the Bourbaki convention:
 
 * A_n   chain a1 - a2 - ... - an
 * B_n   chain with a double edge at the end, the extreme root short
@@ -17,10 +15,11 @@ their nodes in the Bourbaki convention:
 * F_4   a1 - a2 => a3 - a4 (a2 long)
 * G_2   a1 <= a2 triple edge (a1 short)
 
-The rank-2 double-edge diagram is B2 and C2 at once; `recognize_type`
-reports the lexicographically smaller family (B) unless the caller pins a
-node that must come first, the case the "type A_n or C_n with alpha first"
-colour condition needs.
+No type is recognized here.  The colour condition asks only whether a
+node set forms an A_n or C_n chain numbered from a given colour alpha, and
+a walk from alpha decides that.  The rank-2 double-edge diagram is B2 and
+C2 at once; it passes exactly when alpha is its short root (C2 numbered
+from alpha).
 """
 
 from __future__ import annotations
@@ -65,23 +64,6 @@ class DynkinData(Record):
         return tuple(n for n in self.nodes if n not in self.parabolic)
 
 
-class TypeLabel(Record):
-    """A family, rank, and Bourbaki numbering of one connected component."""
-
-    family: str
-    rank: int
-    nodes_by_index: tuple[str, ...]  # position i holds the node numbered i+1
-
-
-def validate_diagram(nodes, edges, parabolic=(), torus_rank: int = 0) -> DynkinData:
-    """Build a DynkinData, rejecting anything outside the A-G classification."""
-    d = _assemble(nodes, edges, parabolic, torus_rank)
-    for comp in components(d):
-        if not component_labels(d, comp):
-            raise UnknownDiagram(f"component {sorted(comp)} is not of finite type")
-    return d
-
-
 def _assemble(nodes, edges, parabolic, torus_rank: int) -> DynkinData:
     """A DynkinData after the node, edge and parabolic checks, unrecognized."""
     nodes = tuple(str(n) for n in nodes)
@@ -123,17 +105,12 @@ def _assemble(nodes, edges, parabolic, torus_rank: int) -> DynkinData:
 
 
 @lru_cache(maxsize=None)
-def _adjacency(d: DynkinData) -> dict[str, tuple[str, ...]]:
-    adj: dict[str, list[str]] = {n: [] for n in d.nodes}
+def _adjacency(d: DynkinData) -> dict[str, dict[str, DynkinEdge]]:
+    """Each node's neighbours, each with the edge that joins them."""
+    adj: dict[str, dict[str, DynkinEdge]] = {n: {} for n in d.nodes}
     for e in d.edges:
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
-    return {n: tuple(sorted(vs)) for n, vs in adj.items()}
-
-
-@lru_cache(maxsize=None)
-def _edge_lookup(d: DynkinData) -> dict[frozenset[str], DynkinEdge]:
-    return {e.ends(): e for e in d.edges}
+        adj[e.a][e.b] = adj[e.b][e.a] = e
+    return adj
 
 
 def _reachable(d: DynkinData, start: str, allowed: frozenset[str]) -> frozenset[str]:
@@ -154,116 +131,6 @@ def connected_component(d: DynkinData, v: str) -> frozenset[str]:
     if v not in d.nodes:
         raise UnknownNode(f"unknown node {v!r}")
     return _reachable(d, v, frozenset(d.nodes))
-
-
-def components(d: DynkinData) -> list[frozenset[str]]:
-    out = []
-    seen: set[str] = set()
-    for n in d.nodes:
-        if n not in seen:
-            comp = connected_component(d, n)
-            seen |= comp
-            out.append(comp)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _template(family: str, rank: int):
-    """`standard_component(family, rank)` in the order `component_labels`
-    places it: one step per node, breadth first from index 0.
-
-    Returns the step of each standard index; per step s, the earlier step
-    whose node s is placed next to, the degree of s, and its edges to
-    earlier steps as {step: (multiplicity, whether s is the long end)};
-    and the sorted degrees.
-    """
-    names, es = standard_component(family, rank, "")
-    nbrs: dict[str, dict[str, tuple[int, bool]]] = {v: {} for v in names}
-    for e in es:
-        nbrs[e.a][e.b] = (e.multiplicity, e.long == e.a)
-        nbrs[e.b][e.a] = (e.multiplicity, e.long == e.b)
-    order = names[:1]
-    for v in order:
-        order += [w for w in nbrs[v] if w not in order]
-    step = {v: s for s, v in enumerate(order)}
-    back = [{step[w]: x for w, x in nbrs[v].items() if step[w] < s}
-            for s, v in enumerate(order)]
-    degrees = [len(nbrs[v]) for v in order]
-    return ([step[v] for v in names], [min(b, default=0) for b in back],
-            degrees, back, sorted(degrees))
-
-
-@lru_cache(maxsize=None)
-def component_labels(d: DynkinData, nodes: frozenset[str]) -> tuple[TypeLabel, ...]:
-    """All valid (family, rank, numbering) labels of the induced subdiagram.
-
-    Empty when the induced decorated graph is not one of A-G.  The induced
-    graph must be connected.  Multiple labels appear exactly for diagrams
-    with a numbering ambiguity (A_n reversal, B2/C2, D/E automorphisms).
-
-    The subdiagram is matched against `standard_component` of each family
-    admitting rank len(nodes) whose sorted degrees equal its own: index 0
-    goes on a node of its degree, then each later index, in breadth-first
-    order, on an unused neighbour of the node holding its parent, with its
-    degree and exactly its standard edges (multiplicity and long end) to
-    the nodes placed so far.
-    """
-    if not nodes <= set(d.nodes):
-        raise UnknownNode(f"nodes outside the diagram: {sorted(nodes - set(d.nodes))}")
-    n = len(nodes)
-    if n == 0:
-        return ()
-    if _reachable(d, next(iter(nodes)), nodes) != nodes:
-        raise ValidationError(f"node set {sorted(nodes)} is not connected")
-
-    full_adj = _adjacency(d)
-    adj = {v: tuple(w for w in full_adj[v] if w in nodes) for v in nodes}
-    deg = {v: len(ws) for v, ws in adj.items()}
-    edge_of = _edge_lookup(d)
-
-    def seen_from(v: str, w: str) -> tuple[int, bool]:
-        e = edge_of[frozenset((v, w))]
-        return e.multiplicity, e.long == v
-
-    labels = []
-    for family in FAMILIES:
-        if not _STANDARD_RANKS[family](n):
-            continue
-        step_of, anchor, degrees, back, degree_seq = _template(family, n)
-        if sorted(deg.values()) != degree_seq:
-            continue
-        stack = [(v,) for v in nodes if deg[v] == degrees[0]]
-        while stack:
-            at = stack.pop()  # at[s] is the node placed at step s
-            s = len(at)
-            if s == n:
-                labels.append(TypeLabel(family, n, tuple(at[t] for t in step_of)))
-                continue
-            stack += [at + (v,) for v in adj[at[anchor[s]]]
-                      if v not in at and deg[v] == degrees[s] and back[s] ==
-                      {at.index(w): seen_from(v, w) for w in adj[v] if w in at}]
-    return tuple(sorted(labels, key=lambda l: (l.family, l.nodes_by_index)))
-
-
-def recognize_type(d: DynkinData, component, first: str | None = None) -> TypeLabel:
-    """Deterministic TypeLabel of a connected node set.
-
-    Ties (diagram automorphisms, the B2/C2 ambiguity) break to the
-    lexicographically smallest (family, numbering).  Passing `first` keeps
-    only numberings placing that node at Bourbaki index 1.
-    """
-    comp = frozenset(component)
-    labels = list(component_labels(d, comp))
-    if not labels:
-        raise UnknownDiagram(f"component {sorted(comp)} is not of finite type")
-    if first is not None:
-        if first not in comp:
-            raise UnknownNode(f"{first!r} is not in the component")
-        labels = [l for l in labels if l.nodes_by_index[0] == first]
-        if not labels:
-            raise UnknownDiagram(
-                f"no finite-type numbering of {sorted(comp)} places {first!r} first")
-    return min(labels, key=lambda l: (l.family, l.rank, l.nodes_by_index))
 
 
 def _adjacent_parabolic_components(d: DynkinData, alpha: str) -> list[frozenset[str]]:
@@ -302,9 +169,35 @@ def vivid_colour_ok(d: DynkinData, F, alpha: str) -> bool:
         return False
     if not touching:
         return True
-    nodes = touching[0] | {alpha}
-    return any(l.family in ("A", "C") and l.nodes_by_index[0] == alpha
-               for l in component_labels(d, frozenset(nodes)))
+    return _chain_from(d, alpha, touching[0] | {alpha})
+
+
+def _chain_from(d: DynkinData, alpha: str, nodes: frozenset[str]) -> bool:
+    """Whether `nodes` induce an A_n or a C_n diagram numbered from alpha.
+
+    The walk starts at alpha and steps to the one neighbour in `nodes` it
+    did not come from, along single edges.  A double edge towards the long
+    root ends it: the C_n end (for n = 2, the C2 numbering, alpha short).
+    A fork or any other multiple edge means no; otherwise the answer is
+    whether the walk visited all of `nodes`.  A walk of more than
+    len(nodes) nodes has gone round a cycle.
+    """
+    adj = _adjacency(d)
+    prev, v = None, alpha
+    for visited in range(1, len(nodes) + 1):
+        ahead = (adj[v].keys() & nodes) - {prev}
+        if not ahead:
+            return visited == len(nodes)
+        if len(ahead) > 1:
+            return False
+        (w,) = ahead
+        e = adj[v][w]
+        if e.multiplicity == 2 and e.long == w:
+            return visited + 1 == len(nodes)
+        if e.multiplicity != 1:
+            return False
+        prev, v = v, w
+    return False
 
 
 def is_projective_space_product(d: DynkinData) -> bool:
@@ -359,8 +252,8 @@ def standard_component(family: str, rank: int, prefix: str
 
 
 def standard_diagram(component_specs, torus_rank: int = 0, parabolic=()) -> DynkinData:
-    """Assemble a diagram from (family, rank, prefix) component specs, with the
-    checks of `validate_diagram` but no recognition: each one is standard."""
+    """Assemble a diagram from (family, rank, prefix) component specs, with
+    `_assemble`'s checks; each component is standard, so none is recognized."""
     nodes: list[str] = []
     edges: list[DynkinEdge] = []
     for family, rank, prefix in component_specs:

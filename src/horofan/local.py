@@ -24,7 +24,14 @@ class LocalModel(Record):
 
 
 def affine_local(sc: ColouredCone, L: ColouredLattice, d: DynkinData) -> LocalModel:
-    """Local model of one coloured cone: Levi diagram on I ∪ F, colours F."""
+    """Local model of one coloured cone: Levi diagram on I ∪ F, colours F.
+
+    The Levi diagram is an induced subdiagram of `d`.  A principal
+    submatrix of a positive definite Cartan form is positive definite
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    §11), so it is of finite type whenever `d` is, and it gets the node,
+    edge and parabolic checks but no type recognition.
+    """
     if set(L.colours) != set(d.colours):
         raise ColourSetMismatch(
             f"lattice colours {sorted(L.colours)} do not match the diagram "
@@ -36,7 +43,7 @@ def affine_local(sc: ColouredCone, L: ColouredLattice, d: DynkinData) -> LocalMo
     keep = set(d.parabolic) | sc.colours
     nodes = tuple(n for n in d.nodes if n in keep)
     edges = tuple(e for e in d.edges if e.a in keep and e.b in keep)
-    levi = dynkin.validate_diagram(nodes, edges, d.parabolic, d.torus_rank)
+    levi = dynkin._assemble(nodes, edges, d.parabolic, d.torus_rank)
 
     kept_colours = tuple(a for a in L.colours if a in sc.colours)
     restricted = ColouredLattice(

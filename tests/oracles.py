@@ -5,8 +5,12 @@ uses Caratheodory subsets with exact rational solves, invariant factors use
 the gcd-of-minors formula, dim-3 facets use cross products, extreme rays of
 halfspace systems use every subset of k - 1 rows, and diagram
 recognition, down to the numbering, matches decorated graphs against
-`standard_component` by permutation search (the library searches along
-edges; the templates themselves are pinned by explicit-edge tests).
+`standard_component` by permutation search (the templates themselves are
+pinned by explicit-edge tests).  The library recognizes no type: it walks
+a chain from the colour to decide the vivid condition.  Here
+`component_labels` recognizes every finite-type numbering by searching
+along edges; it is the oracle of that walk and of `standard_diagram`, and
+the permutation search is its oracle.
 `snf_diagonal` and `linearly_independent` are no oracles: they read the
 library's Smith normal form and rank, for the tests that compare them with
 one.
@@ -15,11 +19,15 @@ one.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from horofan import dynkin as dk
-from horofan.errors import UnknownDiagram
+from horofan.dynkin import FAMILIES, _STANDARD_RANKS, DynkinData, _adjacency, \
+    _assemble, _reachable, connected_component, standard_component
+from horofan.errors import UnknownDiagram, UnknownNode, ValidationError
 from horofan.lattice import Mat, Vec, dot, rank_of, smith_normal_form
+from horofan.record import Record
 
 
 # --- exact rational linear solve -------------------------------------------
@@ -276,6 +284,134 @@ def numbering_oracle(d: dk.DynkinData, nodes: frozenset[str]
             if mapped == sub_edges:
                 out.add((family, len(nodes), perm))
     return out
+
+
+# --- diagram type recognition, the oracle of the chain walk ---------------
+
+class TypeLabel(Record):
+    """A family, rank, and Bourbaki numbering of one connected component."""
+
+    family: str
+    rank: int
+    nodes_by_index: tuple[str, ...]  # position i holds the node numbered i+1
+
+
+def validate_diagram(nodes, edges, parabolic=(), torus_rank: int = 0) -> DynkinData:
+    """Build a DynkinData, rejecting anything outside the A-G classification."""
+    d = _assemble(nodes, edges, parabolic, torus_rank)
+    for comp in components(d):
+        if not component_labels(d, comp):
+            raise UnknownDiagram(f"component {sorted(comp)} is not of finite type")
+    return d
+
+
+def components(d: DynkinData) -> list[frozenset[str]]:
+    out = []
+    seen: set[str] = set()
+    for n in d.nodes:
+        if n not in seen:
+            comp = connected_component(d, n)
+            seen |= comp
+            out.append(comp)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _template(family: str, rank: int):
+    """`standard_component(family, rank)` in the order `component_labels`
+    places it: one step per node, breadth first from index 0.
+
+    Returns the step of each standard index; per step s, the earlier step
+    whose node s is placed next to, the degree of s, and its edges to
+    earlier steps as {step: (multiplicity, whether s is the long end)};
+    and the sorted degrees.
+    """
+    names, es = standard_component(family, rank, "")
+    nbrs: dict[str, dict[str, tuple[int, bool]]] = {v: {} for v in names}
+    for e in es:
+        nbrs[e.a][e.b] = (e.multiplicity, e.long == e.a)
+        nbrs[e.b][e.a] = (e.multiplicity, e.long == e.b)
+    order = names[:1]
+    for v in order:
+        order += [w for w in nbrs[v] if w not in order]
+    step = {v: s for s, v in enumerate(order)}
+    back = [{step[w]: x for w, x in nbrs[v].items() if step[w] < s}
+            for s, v in enumerate(order)]
+    degrees = [len(nbrs[v]) for v in order]
+    return ([step[v] for v in names], [min(b, default=0) for b in back],
+            degrees, back, sorted(degrees))
+
+
+@lru_cache(maxsize=None)
+def component_labels(d: DynkinData, nodes: frozenset[str]) -> tuple[TypeLabel, ...]:
+    """All valid (family, rank, numbering) labels of the induced subdiagram.
+
+    Empty when the induced decorated graph is not one of A-G.  The induced
+    graph must be connected.  Multiple labels appear exactly for diagrams
+    with a numbering ambiguity (A_n reversal, B2/C2, D/E automorphisms).
+
+    The subdiagram is matched against `standard_component` of each family
+    admitting rank len(nodes) whose sorted degrees equal its own: index 0
+    goes on a node of its degree, then each later index, in breadth-first
+    order, on an unused neighbour of the node holding its parent, with its
+    degree and exactly its standard edges (multiplicity and long end) to
+    the nodes placed so far.
+    """
+    if not nodes <= set(d.nodes):
+        raise UnknownNode(f"nodes outside the diagram: {sorted(nodes - set(d.nodes))}")
+    n = len(nodes)
+    if n == 0:
+        return ()
+    if _reachable(d, next(iter(nodes)), nodes) != nodes:
+        raise ValidationError(f"node set {sorted(nodes)} is not connected")
+
+    full_adj = _adjacency(d)
+    adj = {v: tuple(w for w in full_adj[v] if w in nodes) for v in nodes}
+    deg = {v: len(ws) for v, ws in adj.items()}
+
+    def seen_from(v: str, w: str) -> tuple[int, bool]:
+        e = full_adj[v][w]
+        return e.multiplicity, e.long == v
+
+    labels = []
+    for family in FAMILIES:
+        if not _STANDARD_RANKS[family](n):
+            continue
+        step_of, anchor, degrees, back, degree_seq = _template(family, n)
+        if sorted(deg.values()) != degree_seq:
+            continue
+        stack = [(v,) for v in nodes if deg[v] == degrees[0]]
+        while stack:
+            at = stack.pop()  # at[s] is the node placed at step s
+            s = len(at)
+            if s == n:
+                labels.append(TypeLabel(family, n, tuple(at[t] for t in step_of)))
+                continue
+            stack += [at + (v,) for v in adj[at[anchor[s]]]
+                      if v not in at and deg[v] == degrees[s] and back[s] ==
+                      {at.index(w): seen_from(v, w) for w in adj[v] if w in at}]
+    return tuple(sorted(labels, key=lambda l: (l.family, l.nodes_by_index)))
+
+
+def recognize_type(d: DynkinData, component, first: str | None = None) -> TypeLabel:
+    """Deterministic TypeLabel of a connected node set.
+
+    Ties (diagram automorphisms, the B2/C2 ambiguity) break to the
+    lexicographically smallest (family, numbering).  Passing `first` keeps
+    only numberings placing that node at Bourbaki index 1.
+    """
+    comp = frozenset(component)
+    labels = list(component_labels(d, comp))
+    if not labels:
+        raise UnknownDiagram(f"component {sorted(comp)} is not of finite type")
+    if first is not None:
+        if first not in comp:
+            raise UnknownNode(f"{first!r} is not in the component")
+        labels = [l for l in labels if l.nodes_by_index[0] == first]
+        if not labels:
+            raise UnknownDiagram(
+                f"no finite-type numbering of {sorted(comp)} places {first!r} first")
+    return min(labels, key=lambda l: (l.family, l.rank, l.nodes_by_index))
 
 
 def example_A_rule(n: int, parabolic_indices: set[int], i: int) -> bool:

@@ -133,6 +133,37 @@ def test_split_machine_bytes_on_random_fans():
     assert digest.hexdigest() == SPLIT_DIGEST
 
 
+def _shuffled(rng, doc):
+    """`doc` with its cone list, each cone's rays and its colours reordered."""
+    cones = [(tuple(rng.sample(rays, len(rays))), tuple(rng.sample(cols, len(cols))))
+             for rays, cols in doc.cones]
+    rng.shuffle(cones)
+    return docmod.FanDocument(doc.components, doc.torus_rank, doc.parabolic,
+                              doc.lattice_rank, doc.colour_points, tuple(cones))
+
+
+def machine_of(doc, command):
+    return cli.render_machine(cli.run(doc, command))
+
+
+def test_machine_bytes_do_not_depend_on_listing_order():
+    # a fan is a set of cones, a cone the set of its rays, a colour set a
+    # set: classify, split, and cox on the split document read none of
+    # the orders; and a split document splits off nothing more
+    rng = random.Random(7)
+    reorderings = 0
+    for _ in range(30):
+        doc = _random_document(rng)
+        mixed = _shuffled(rng, doc)
+        reorderings += mixed.cones != doc.cones
+        for command in ("classify", "split"):
+            assert machine_of(mixed, command) == machine_of(doc, command)
+        split = docmod.parse(json.dumps(cli.run(doc, "split")["document"]))
+        assert machine_of(_shuffled(rng, split), "cox") == machine_of(split, "cox")
+        assert cli.run(split, "split")["quotient_rank"] == 0
+    assert reorderings > 20
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

@@ -7,7 +7,9 @@ from horofan import dynkin as dk
 from horofan.errors import (BadEdge, BadParabolic, UnknownColour,
                             UnknownDiagram, UnknownNode, ValidationError)
 
-from oracles import example_A_rule, numbering_oracle, template_matches
+from oracles import (component_labels, components, example_A_rule,
+                     numbering_oracle, recognize_type, template_matches,
+                     validate_diagram)
 
 
 def diagram(spec_list, parabolic=(), torus_rank=0):
@@ -16,22 +18,22 @@ def diagram(spec_list, parabolic=(), torus_rank=0):
 
 
 def test_validate_path_is_A3():
-    d = dk.validate_diagram(["x", "y", "z"], [("x", "y"), ("y", "z")])
-    t = dk.recognize_type(d, d.nodes)
+    d = validate_diagram(["x", "y", "z"], [("x", "y"), ("y", "z")])
+    t = recognize_type(d, d.nodes)
     assert (t.family, t.rank) == ("A", 3)
 
 
 def test_validate_double_edge_pair():
-    d = dk.validate_diagram(["x", "y"], [dk.DynkinEdge("x", "y", 2, "x")])
-    labels = dk.component_labels(d, frozenset(d.nodes))
+    d = validate_diagram(["x", "y"], [dk.DynkinEdge("x", "y", 2, "x")])
+    labels = component_labels(d, frozenset(d.nodes))
     assert {(l.family, l.rank) for l in labels} == {("B", 2), ("C", 2)}
-    assert dk.recognize_type(d, d.nodes).family == "B"
+    assert recognize_type(d, d.nodes).family == "B"
 
 
 def test_validate_star_is_D4():
-    d = dk.validate_diagram(["c", "p", "q", "r"],
-                            [("c", "p"), ("c", "q"), ("c", "r")])
-    t = dk.recognize_type(d, d.nodes)
+    d = validate_diagram(["c", "p", "q", "r"],
+                         [("c", "p"), ("c", "q"), ("c", "r")])
+    t = recognize_type(d, d.nodes)
     assert (t.family, t.rank) == ("D", 4)
     assert t.nodes_by_index[1] == "c"
 
@@ -45,29 +47,29 @@ def test_recognition_matches_template_oracle():
         # scramble the node presentation order
         perm = nodes[:]
         rng.shuffle(perm)
-        d = dk.validate_diagram(perm, edges)
+        d = validate_diagram(perm, edges)
         got = {(l.family, l.rank)
-               for l in dk.component_labels(d, frozenset(nodes))}
+               for l in component_labels(d, frozenset(nodes))}
         assert got == template_matches(d, frozenset(nodes)), (family, rank)
 
 
 def test_bad_diagrams_rejected():
     with pytest.raises(UnknownDiagram):  # triangle
-        dk.validate_diagram(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+        validate_diagram(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
     with pytest.raises(UnknownDiagram):  # two forks
-        dk.validate_diagram(list("abcdefg"),
-                            [("a", "b"), ("b", "c"), ("b", "d"), ("d", "e"),
-                             ("e", "f"), ("e", "g")])
+        validate_diagram(list("abcdefg"),
+                         [("a", "b"), ("b", "c"), ("b", "d"), ("d", "e"),
+                          ("e", "f"), ("e", "g")])
     with pytest.raises(BadEdge):
-        dk.validate_diagram(["a", "b"], [dk.DynkinEdge("a", "b", 4, "a")])
+        validate_diagram(["a", "b"], [dk.DynkinEdge("a", "b", 4, "a")])
     with pytest.raises(BadEdge):
-        dk.validate_diagram(["a", "b"], [dk.DynkinEdge("a", "b", 1, "a")])
+        validate_diagram(["a", "b"], [dk.DynkinEdge("a", "b", 1, "a")])
     with pytest.raises(BadEdge):
-        dk.validate_diagram(["a", "b"], [dk.DynkinEdge("a", "b", 2, None)])
+        validate_diagram(["a", "b"], [dk.DynkinEdge("a", "b", 2, None)])
     with pytest.raises(BadParabolic):
-        dk.validate_diagram(["a"], [], parabolic=["zz"])
+        validate_diagram(["a"], [], parabolic=["zz"])
     with pytest.raises(UnknownNode):
-        dk.validate_diagram(["a"], [("a", "b")])
+        validate_diagram(["a"], [("a", "b")])
 
 
 def test_connected_component():
@@ -83,18 +85,18 @@ def test_connected_component():
 
 def test_recognize_single_node_and_paths():
     d = diagram([("A", 1)])
-    assert dk.recognize_type(d, d.nodes).family == "A"
+    assert recognize_type(d, d.nodes).family == "A"
     for n in (2, 5, 8):
         d = diagram([("A", n)])
-        t = dk.recognize_type(d, d.nodes)
+        t = recognize_type(d, d.nodes)
         assert (t.family, t.rank) == ("A", n)
 
 
 def test_recognize_C3_far_end_first():
     # 3-node path, double edge at one end with the extreme root long
-    d = dk.validate_diagram(["p", "q", "r"],
-                            [("p", "q"), dk.DynkinEdge("q", "r", 2, "r")])
-    t = dk.recognize_type(d, d.nodes)
+    d = validate_diagram(["p", "q", "r"],
+                         [("p", "q"), dk.DynkinEdge("q", "r", 2, "r")])
+    t = recognize_type(d, d.nodes)
     assert (t.family, t.rank) == ("C", 3)
     assert t.nodes_by_index == ("p", "q", "r")
 
@@ -109,28 +111,28 @@ def test_recognize_relabelling_invariance():
         new_edges = [dk.DynkinEdge(ren[e.a], ren[e.b], e.multiplicity,
                                    ren[e.long] if e.long else None)
                      for e in edges]
-        d1 = dk.validate_diagram(nodes, edges)
-        d2 = dk.validate_diagram(names, new_edges)
-        t1 = dk.recognize_type(d1, d1.nodes)
-        t2 = dk.recognize_type(d2, d2.nodes)
+        d1 = validate_diagram(nodes, edges)
+        d2 = validate_diagram(names, new_edges)
+        t1 = recognize_type(d1, d1.nodes)
+        t2 = recognize_type(d2, d2.nodes)
         assert (t1.family, t1.rank) == (t2.family, t2.rank)
         # the renamed labelling is among the valid labels of d2
         renamed = tuple(ren[v] for v in t1.nodes_by_index)
-        labels2 = dk.component_labels(d2, frozenset(d2.nodes))
+        labels2 = component_labels(d2, frozenset(d2.nodes))
         assert any(l.nodes_by_index == renamed and l.family == t1.family
                    for l in labels2)
 
 
 def test_recognize_pin():
-    d = dk.validate_diagram(["x", "y"], [dk.DynkinEdge("x", "y", 2, "x")])
+    d = validate_diagram(["x", "y"], [dk.DynkinEdge("x", "y", 2, "x")])
     # y is short: pinning it first forces family C
-    assert dk.recognize_type(d, d.nodes, first="y").family == "C"
-    assert dk.recognize_type(d, d.nodes, first="x").family == "B"
+    assert recognize_type(d, d.nodes, first="y").family == "C"
+    assert recognize_type(d, d.nodes, first="x").family == "B"
     a3 = diagram([("A", 3)])
     with pytest.raises(UnknownDiagram):
-        dk.recognize_type(a3, a3.nodes, first="A3.2")  # middle cannot be first
+        recognize_type(a3, a3.nodes, first="A3.2")  # middle cannot be first
     with pytest.raises(UnknownNode):
-        dk.recognize_type(a3, a3.nodes, first="nope")
+        recognize_type(a3, a3.nodes, first="nope")
 
 
 def test_vivid_examples():
@@ -227,7 +229,7 @@ def test_numberings_match_permutation_oracle():
             for sub in combinations(d.nodes, k):
                 sub = frozenset(sub)
                 try:
-                    labels = dk.component_labels(d, sub)
+                    labels = component_labels(d, sub)
                 except ValidationError:  # not connected
                     assert not numbering_oracle(d, sub)
                     continue
@@ -262,9 +264,86 @@ def test_standard_diagram_matches_validated_diagram():
             parabolic = [n for n in nodes if rng.random() < 0.5]
             t = rng.randint(0, 3)
             d = dk.standard_diagram(specs, t, parabolic)
-            assert d == dk.validate_diagram(nodes, edges, parabolic, t)
-            assert all(dk.component_labels(d, comp) for comp in dk.components(d))
+            assert d == validate_diagram(nodes, edges, parabolic, t)
+            assert all(component_labels(d, comp) for comp in components(d))
     with pytest.raises(BadParabolic):
         dk.standard_diagram([("A", 2, "A2")], parabolic=["A2.3"])
     with pytest.raises(ValidationError):
         dk.standard_diagram([("A", 1, "A1"), ("A", 1, "A1")])
+
+
+def _recognized_verdict(d, F, alpha):
+    """`vivid_colour_ok` with its chain clause decided by type recognition:
+    some label of family A or C numbers alpha first.  Also returns the
+    labels of I_alpha + alpha, when alpha touches one parabolic component."""
+    if next(c for c in components(d) if alpha in c) & F != {alpha}:
+        return False, ()
+    neighbours = {w for e in d.edges if alpha in e.ends() for w in e.ends()}
+    inner = dk.DynkinData(tuple(n for n in d.nodes if n in d.parabolic),
+                          tuple(e for e in d.edges if e.ends() <= d.parabolic))
+    touching = [c for c in components(inner) if c & neighbours]
+    if len(touching) != 1:
+        return not touching, ()
+    labels = component_labels(d, touching[0] | {alpha})
+    return any(l.family in ("A", "C") and l.nodes_by_index[0] == alpha
+               for l in labels), labels
+
+
+def test_chain_walk_matches_recognition():
+    # standard diagrams beside an A1, B2 or A3, and arbitrary decorated
+    # graphs (cycles, triple edges, wrong long ends), with random parabolic
+    # sets; F = {alpha} and F = every colour
+    rng = random.Random(37)
+    singles = [(f, r) for f in dk.FAMILIES for r in range(1, 9)
+               if dk._STANDARD_RANKS[f](r)]
+    cases = []
+    for _ in range(1000):
+        specs = [(*rng.choice(singles), "X")]
+        extra = rng.choice((None, ("A", 1), ("B", 2), ("A", 3)))
+        if extra:
+            specs.append((*extra, "Y"))
+        nodes = [v for spec in specs for v in dk.standard_component(*spec)[0]]
+        p = rng.random()
+        cases.append(dk.standard_diagram(
+            specs, parabolic=[v for v in nodes if rng.random() < p]))
+    for _ in range(1000):
+        d = _random_decorated_graph(rng, rng.randint(1, 7))
+        p = rng.random()
+        cases.append(dk.DynkinData(d.nodes, d.edges, 0,
+                                   frozenset(v for v in d.nodes if rng.random() < p)))
+    verdicts, reached = set(), set()
+    for d in cases:
+        for alpha in d.colours:
+            for F in ({alpha}, set(d.colours)):
+                want, labels = _recognized_verdict(d, F, alpha)
+                assert dk.vivid_colour_ok(d, F, alpha) == want, (d, F, alpha)
+                verdicts.add(want)
+                reached |= {(l.family, l.rank, l.nodes_by_index[0] == alpha)
+                            for l in labels}
+    assert verdicts == {True, False}
+    # C2 with alpha short, B2 with alpha long, G2, and a D-type fork
+    assert {("C", 2, True), ("B", 2, True)} <= reached
+    assert {"G", "D"} <= {family for family, _, _ in reached}
+
+
+def test_chain_walk_must_visit_every_node():
+    # vivid_colour_ok only asks about connected node sets; on others the
+    # walk still answers no, after a dead end or a final double edge
+    d = dk.standard_diagram([("A", 2, "A2"), ("C", 2, "C2"), ("A", 1, "A1")])
+    assert dk._chain_from(d, "A2.1", frozenset({"A2.1", "A2.2"}))
+    assert not dk._chain_from(d, "A2.1", frozenset({"A2.1", "A2.2", "A1.1"}))
+    assert dk._chain_from(d, "C2.1", frozenset({"C2.1", "C2.2"}))
+    assert not dk._chain_from(d, "C2.1", frozenset({"C2.1", "C2.2", "A1.1"}))
+    assert not dk._chain_from(d, "C2.2", frozenset({"C2.1", "C2.2"}))
+
+
+MOVED_TO_ORACLES = ("TypeLabel", "validate_diagram", "components", "_template",
+                    "component_labels", "recognize_type")
+
+
+def test_public_api():
+    import horofan
+    for name in horofan.__all__:
+        getattr(horofan, name)
+    assert not set(MOVED_TO_ORACLES) & set(horofan.__all__)
+    assert not any(hasattr(horofan, name) for name in MOVED_TO_ORACLES)

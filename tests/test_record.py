@@ -18,12 +18,14 @@ from horofan import document as docmod
 from horofan.errors import DimensionMismatch, UnknownColour
 from horofan.record import Record
 
+import oracles
+
 GOLDENS = pathlib.Path(__file__).parent.parent / "goldens"
 
 RECORD_TYPES = [
     cones.Cone, fans.ColouredLattice, fans.ColouredCone, fans.ColouredFan,
     cl.ConeClassification, cl.Verdict, dynkin.DynkinEdge, dynkin.DynkinData,
-    dynkin.TypeLabel, docmod.GroupComponent, docmod.FanDocument,
+    oracles.TypeLabel, docmod.GroupComponent, docmod.FanDocument,
     cox.TorusSplit, cox.CoxData, cox.CoxConsistency, lattice.FGAbelianGroup,
     local.LocalModel,
 ]
@@ -44,11 +46,11 @@ def _samples(text: str) -> dict[type, object]:
     doc = docmod.parse(text)
     diagram, L, fan = docmod.build(doc)
     data = cox.cox_construct(fan)
-    first = next(iter(dynkin.components(diagram)))
+    first = next(iter(oracles.components(diagram)))
     verdict = cl.classify(fan, diagram)
     found = [
         fan.cones[-1].cone, L, fan.cones[-1], fan, verdict.cones[-1], verdict,
-        diagram.edges[0], diagram, dynkin.recognize_type(diagram, first),
+        diagram.edges[0], diagram, oracles.recognize_type(diagram, first),
         doc.components[0], doc, cox.torus_split(fan), data,
         cox.cox_consistency(fan, diagram), data.class_group,
         local.affine_local(fan.cones[-1], L, diagram),
