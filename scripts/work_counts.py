@@ -5,16 +5,16 @@ Usage: PYTHONPATH=src python scripts/work_counts.py INPUTS
 
 INPUTS is an `inputs.json` written by `bench/run.py` (under
 `.bench_out/<workload>-s<seed>-t<trace>/`).  Every op runs in process
-through `cli.run` and `cli.render_machine`, as in the benchmark; the
-module caches are cleared before each document, as the benchmark's
-per-document forks start empty, and a `split` document feeds the commands
-after it.  Prints, for one pass: the calls of `cones.extreme_rays` with
-the inequality rows and equalities fed to them, the uncached
-`cones.intersect` calls, and the calls of `lattice.smith_normal_form` and
-`lattice._bareiss`; then the modules that `import horofan.cli` adds to a
-fresh interpreter (a subprocess importing the same `horofan`), which
-every command loads before its first op.  The counts do not depend on the
-machine.
+through `cli.run` and `cli.render_machine`, as in the benchmark; the two
+cone caches (`cones.faces`, `cones.intersect`, the only caches in `src/`)
+are cleared before each document, as the benchmark's per-document forks
+start empty, and a `split` document feeds the commands after it.  Prints,
+for one pass: the calls of `cones.extreme_rays` with the inequality rows
+and equalities fed to them, the uncached `cones.intersect` calls, and the
+calls of `lattice.smith_normal_form` and `lattice._bareiss`; then the
+modules that `import horofan.cli` adds to a fresh interpreter (a
+subprocess importing the same `horofan`), which every command loads
+before its first op.  The counts do not depend on the machine.
 """
 
 import json
@@ -23,10 +23,9 @@ import subprocess
 import sys
 from collections import Counter
 
-from horofan import cli, cones, document, dynkin, lattice
+from horofan import cli, cones, document, lattice
 
-CACHES = [cones.faces, cones.intersect] + [
-    f for f in vars(dynkin).values() if hasattr(f, "cache_clear")]
+CACHES = [cones.faces, cones.intersect]
 
 
 def counting(counts: Counter) -> None:

@@ -55,17 +55,6 @@ def simplicial_multiset(sc: ColouredCone, L: ColouredLattice) -> tuple[Vec, ...]
     return tuple(sorted(points))
 
 
-def is_simplicial(sc: ColouredCone, L: ColouredLattice) -> bool:
-    """True iff the simplicial multiset is linearly independent: it spans the
-    cone's span (a coloured ray is a multiple of one of its colour points, and
-    colour points lie on the cone), so iff its size is the cone's dim."""
-    return len(simplicial_multiset(sc, L)) == sc.cone.dim
-
-
-def is_regular(sc: ColouredCone, L: ColouredLattice) -> bool:
-    return lattice.extends_to_Z_basis(simplicial_multiset(sc, L), L.rank)
-
-
 def is_vivid(sc: ColouredCone, L: ColouredLattice, d: DynkinData) -> bool:
     """True iff every colour of the cone passes the diagram condition."""
     return all(dynkin.vivid_colour_ok(d, sc.colours, a) for a in sc.colours)
@@ -73,7 +62,9 @@ def is_vivid(sc: ColouredCone, L: ColouredLattice, d: DynkinData) -> bool:
 
 def classify_cone(sc: ColouredCone, L: ColouredLattice, d: DynkinData
                   ) -> ConeClassification:
-    # `is_simplicial`, then `is_regular` (a part of a Z-basis is independent)
+    # the multiset spans the cone's span (a coloured ray is a multiple of one
+    # of its colour points, which lie on the cone), so it is independent iff
+    # its size is dim; and a part of a Z-basis is independent
     points = simplicial_multiset(sc, L)
     simplicial = len(points) == sc.cone.dim
     regular = simplicial and lattice.extends_to_Z_basis(points, L.rank)

@@ -4,8 +4,9 @@ Given a coloured fan without torus factors, build the lifted lattice with
 one basis vector per colour and one per non-coloured ray, the projection
 matrix mu sending each basis vector to its point downstairs, the lifted
 coloured fan (one cone per input cone, spanned by the basis vectors of its
-colours and of the non-coloured rays it contains), the divisor class group
-as the cokernel of mu^T, and the rank of the quotient torus.
+colours and of the non-coloured rays in its ray set: a fan ray inside a
+member is a face of it), the divisor class group as the cokernel of mu^T,
+and the rank of the quotient torus.
 
 Torus factors are split off first: the fan is re-expressed on the saturated
 sublattice spanned by all ray generators and all colour points, and the
@@ -21,7 +22,7 @@ from .classification import classify as classify_fan
 from .errors import HasTorusFactors
 from .fans import (ColouredCone, ColouredFan, ColouredLattice, map_fan,
                    validate_fan)
-from .lattice import FGAbelianGroup, Mat, Vec
+from .lattice import FGAbelianGroup, Mat
 from .record import Record
 
 # basis_index entries: ("colour", name) or ("ray", primitive generator)
@@ -45,8 +46,11 @@ class CoxData(Record):
 
 def torus_split(fan: ColouredFan) -> TorusSplit:
     """Split off the torus factor: re-coordinatize on the saturated span
-    of all ray generators and all colour points."""
+    of all ray generators and all colour points.  A fan without a torus
+    factor splits to itself, on the identity basis."""
     L = fan.lattice
+    if not has_torus_factors(fan):
+        return TorusSplit(lattice.identity(L.rank), 0, fan)
     points = [m.cone.rays[0] for m in fan.ray_members()]
     points += list(L.colour_points)
     basis, coords = lattice.span_coordinates(points, L.rank)
@@ -73,11 +77,6 @@ def cox_basis_index(fan: ColouredFan) -> tuple[BasisTag, ...]:
     return tuple(tags)
 
 
-def _tag_point(fan: ColouredFan, tag: BasisTag) -> Vec:
-    kind, value = tag
-    return fan.lattice.xi(value) if kind == "colour" else value
-
-
 def cox_construct(fan: ColouredFan) -> CoxData:
     """The Cox data of a fan without torus factors."""
     if has_torus_factors(fan):
@@ -87,20 +86,17 @@ def cox_construct(fan: ColouredFan) -> CoxData:
     L = fan.lattice
     tags = cox_basis_index(fan)
     n_hat = len(tags)
-    columns = [_tag_point(fan, t) for t in tags]
+    columns = [L.xi(value) if kind == "colour" else value for kind, value in tags]
     mu = tuple(tuple(col[i] for col in columns) for i in range(L.rank))
 
     e = lattice.identity(n_hat)
-    position = {tag: i for i, tag in enumerate(tags)}
-    hat_lattice = ColouredLattice(
-        n_hat, L.colours, tuple(e[position[("colour", a)]] for a in L.colours))
+    hat_lattice = ColouredLattice(n_hat, L.colours, e[:len(L.colours)])
+    basis = {value: v for (_, value), v in zip(tags, e)}
 
-    ray_tags = [t for t in tags if t[0] == "ray"]
     lifted = []
     for sc in fan.cones:
-        gens = [e[position[("colour", a)]] for a in sc.colours]
-        gens += [e[position[t]] for t in ray_tags
-                 if pc.contains(sc.cone, t[1]) != pc.OUTSIDE]
+        gens = [basis[a] for a in sc.colours]
+        gens += [basis[r] for r in sc.cone.rays if r in basis]
         lifted.append(ColouredCone(pc.cone_from_generators(gens, n_hat), sc.colours))
     cox_fan = validate_fan(hat_lattice, lifted)
 

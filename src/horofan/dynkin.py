@@ -15,17 +15,16 @@ diagrams number their nodes in the Bourbaki convention:
 * F_4   a1 - a2 => a3 - a4 (a2 long)
 * G_2   a1 <= a2 triple edge (a1 short)
 
-No type is recognized here.  The colour condition asks only whether a
-node set forms an A_n or C_n chain numbered from a given colour alpha, and
-a walk from alpha decides that.  The rank-2 double-edge diagram is B2 and
-C2 at once; it passes exactly when alpha is its short root (C2 numbered
-from alpha).
+No type is recognized here, and nothing is cached.  The colour
+condition's clause (2) is one walk from the colour alpha through the
+parabolic nodes it reaches, which must form with alpha an A_n or C_n chain
+numbered from alpha.  The rank-2 double-edge diagram is B2 and C2 at once;
+it passes exactly when alpha is its short root (C2 numbered from alpha).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 
 from .errors import (
     BadEdge,
@@ -104,7 +103,6 @@ def _assemble(nodes, edges, parabolic, torus_rank: int) -> DynkinData:
                       torus_rank, parabolic)
 
 
-@lru_cache(maxsize=None)
 def _adjacency(d: DynkinData) -> dict[str, dict[str, DynkinEdge]]:
     """Each node's neighbours, each with the edge that joins them."""
     adj: dict[str, dict[str, DynkinEdge]] = {n: {} for n in d.nodes}
@@ -114,6 +112,7 @@ def _adjacency(d: DynkinData) -> dict[str, dict[str, DynkinEdge]]:
 
 
 def _reachable(d: DynkinData, start: str, allowed: frozenset[str]) -> frozenset[str]:
+    """start and the nodes of `allowed` reachable from it through `allowed`."""
     adj = _adjacency(d)
     seen = {start}
     queue = deque([start])
@@ -131,18 +130,6 @@ def connected_component(d: DynkinData, v: str) -> frozenset[str]:
     if v not in d.nodes:
         raise UnknownNode(f"unknown node {v!r}")
     return _reachable(d, v, frozenset(d.nodes))
-
-
-def _adjacent_parabolic_components(d: DynkinData, alpha: str) -> list[frozenset[str]]:
-    adj = _adjacency(d)
-    comps: list[frozenset[str]] = []
-    for w in adj[alpha]:
-        if w not in d.parabolic:
-            continue
-        comp = _reachable(d, w, d.parabolic)
-        if comp not in comps:
-            comps.append(comp)
-    return comps
 
 
 def vivid_colour_ok(d: DynkinData, F, alpha: str) -> bool:
@@ -163,13 +150,9 @@ def vivid_colour_ok(d: DynkinData, F, alpha: str) -> bool:
 
     if connected_component(d, alpha) & F != {alpha}:
         return False
-
-    touching = _adjacent_parabolic_components(d, alpha)
-    if len(touching) > 1:
-        return False
-    if not touching:
-        return True
-    return _chain_from(d, alpha, touching[0] | {alpha})
+    # (2) over alpha and every parabolic component touching it: with none the
+    # walk visits alpha only; two touchings give alpha two neighbours ahead
+    return _chain_from(d, alpha, _reachable(d, alpha, d.parabolic))
 
 
 def _chain_from(d: DynkinData, alpha: str, nodes: frozenset[str]) -> bool:

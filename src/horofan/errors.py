@@ -74,10 +74,6 @@ class NotStronglyConvex(ValidationError):
     """The cone contains a line."""
 
 
-class NotAFace(ValidationError):
-    """The given cone is not a face of the reference cone."""
-
-
 # --- coloured fan level ----------------------------------------------------
 
 class ColourPointOutsideCone(ValidationError):

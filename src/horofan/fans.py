@@ -6,9 +6,10 @@ with a subset of colours whose points lie on the cone (away from the
 origin).  A coloured fan is a finite collection of coloured cones closed
 under faces and intersections.
 
-A face inherits exactly the colours whose points lie on it.  That rule
-forces colour consistency across the fan: two members sharing an underlying
-cone must carry identical colour sets.
+A face inherits exactly the colours whose points lie on it (`_inherit`,
+the one implementation of the rule).  That rule forces colour consistency
+across the fan: two members sharing an underlying cone must carry
+identical colour sets.
 
 `validate_fan` checks unchecked cones and completes the face closure (callers
 supply the maximal cones): at the input boundary `document.build`, in
@@ -27,7 +28,6 @@ from .errors import (
     ColourPointOutsideCone,
     DimensionMismatch,
     InconsistentColours,
-    NotAFace,
     OverlappingCones,
     UnknownColour,
     ZeroColourPoint,
@@ -131,13 +131,6 @@ def _check_coloured_cone(sc: ColouredCone, L: ColouredLattice) -> None:
         if pc.contains(sc.cone, u) == pc.OUTSIDE:
             raise ColourPointOutsideCone(
                 f"point of colour {alpha!r} lies outside its cone")
-
-
-def coloured_face(sc: ColouredCone, t: pc.Cone, L: ColouredLattice) -> ColouredCone:
-    """The coloured face of sc supported on the face t of its cone."""
-    if not pc.is_face_of(t, sc.cone):
-        raise NotAFace("not a face of the given coloured cone")
-    return _inherit(sc, t, L)
 
 
 def _inherit(sc: ColouredCone, t: pc.Cone, L: ColouredLattice) -> ColouredCone:

@@ -11,6 +11,9 @@ a chain from the colour to decide the vivid condition.  Here
 `component_labels` recognizes every finite-type numbering by searching
 along edges; it is the oracle of that walk and of `standard_diagram`, and
 the permutation search is its oracle.
+`face_colours_oracle` decides the face rule with Caratheodory membership;
+`cox_lift_oracle` is the Cox lift by cone containment and full fan
+validation, the oracle of the lift that picks generators by ray set.
 `snf_diagonal` and `linearly_independent` are no oracles: they read the
 library's Smith normal form and rank, for the tests that compare them with
 one.
@@ -22,11 +25,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from horofan import cones as pc
 from horofan import dynkin as dk
 from horofan.dynkin import FAMILIES, _STANDARD_RANKS, DynkinData, _adjacency, \
     _assemble, _reachable, connected_component, standard_component
 from horofan.errors import UnknownDiagram, UnknownNode, ValidationError
-from horofan.lattice import Mat, Vec, dot, rank_of, smith_normal_form
+from horofan.fans import ColouredCone, ColouredFan, ColouredLattice, validate_fan
+from horofan.lattice import Mat, Vec, dot, identity, rank_of, smith_normal_form
 from horofan.record import Record
 
 
@@ -420,3 +425,36 @@ def example_A_rule(n: int, parabolic_indices: set[int], i: int) -> bool:
     if i in (1, n):
         return True
     return not (i - 1 in parabolic_indices and i + 1 in parabolic_indices)
+
+
+# --- coloured faces and the Cox lift ---------------------------------------
+
+def face_colours_oracle(sc: ColouredCone, t: pc.Cone, L: ColouredLattice
+                        ) -> ColouredCone:
+    """The face t of sc with the colours of sc whose point lies on t,
+    membership decided by `member_oracle` on t's rays."""
+    return ColouredCone(t, frozenset(a for a in sc.colours
+                                     if member_oracle(list(t.rays), L.xi(a))))
+
+
+def cox_lift_oracle(fan: ColouredFan) -> ColouredFan:
+    """The lifted fan by containment and full validation.
+
+    Basis vectors go to the colours in diagram order, then to the
+    non-coloured rays in sorted order; each member lifts to the cone over
+    the vectors of its colours and of every non-coloured ray its cone
+    contains (`cones.contains`), and `validate_fan` checks every pair of
+    lifted cones and closes them under faces.
+    """
+    L = fan.lattice
+    rays = fan.non_coloured_rays()
+    n_hat = len(L.colours) + len(rays)
+    e = identity(n_hat)
+    colour_vector = dict(zip(L.colours, e))
+    ray_vectors = list(zip(rays, e[len(L.colours):]))
+    lifted = []
+    for sc in fan.cones:
+        gens = [colour_vector[a] for a in sc.colours]
+        gens += [v for r, v in ray_vectors if pc.contains(sc.cone, r) != pc.OUTSIDE]
+        lifted.append(ColouredCone(pc.cone_from_generators(gens, n_hat), sc.colours))
+    return validate_fan(ColouredLattice(n_hat, L.colours, e[:len(L.colours)]), lifted)

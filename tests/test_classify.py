@@ -10,7 +10,7 @@ from horofan import lattice as lat
 from horofan import sampling as S
 from horofan.errors import ColourSetMismatch
 
-from oracles import linearly_independent
+from oracles import face_colours_oracle, linearly_independent
 
 TORIC2 = dk.standard_diagram([], torus_rank=2)
 L2 = F.ColouredLattice(2, (), ())
@@ -41,7 +41,8 @@ def test_multiset_examples():
     sc = F.ColouredCone(pc.cone_from_generators([(1, 0), (0, 1)], 2),
                         frozenset({"X.1", "Y.1"}))
     assert cl.simplicial_multiset(sc, L) == ((0, 1), (1, 0), (1, 0))
-    assert not cl.is_simplicial(sc, L)
+    XY = dk.standard_diagram([("A", 1, "X"), ("A", 1, "Y")])
+    assert not cl.classify_cone(sc, L, XY).simplicial
 
     # colour-free cone: its primitive ray generators
     sc2 = F.ColouredCone(pc.cone_from_generators([(2, 0), (0, 3)], 2),
@@ -52,12 +53,14 @@ def test_multiset_examples():
 def test_simplicial_vs_regular():
     sc = F.ColouredCone(pc.cone_from_generators([(1, 0), (1, 2)], 2),
                         frozenset())
-    assert cl.is_simplicial(sc, L2)
-    assert not cl.is_regular(sc, L2)
+    flags = cl.classify_cone(sc, L2, TORIC2)
+    assert flags.simplicial
+    assert not flags.regular
 
     L1 = F.ColouredLattice(1, ("c",), ((1,),))
     sc1 = F.ColouredCone(pc.cone_from_generators([(1,)], 1), frozenset({"c"}))
-    assert cl.is_simplicial(sc1, L1) and cl.is_regular(sc1, L1)
+    flags1 = cl.classify_cone(sc1, L1, dk.DynkinData(("c",), ()))
+    assert flags1.simplicial and flags1.regular
 
 
 def test_vivid_per_cone():
@@ -153,7 +156,7 @@ def test_unimodular_invariance():
 
 def test_cone_flags_metamorphic():
     # per-cone flags survive a change of coordinates and a reversed listing,
-    # and is_simplicial agrees with plain linear independence
+    # and the simplicial flag agrees with plain linear independence
     rng = random.Random(47)
     coloured = 0
     while coloured < 20:
@@ -176,7 +179,8 @@ def test_cone_flags_metamorphic():
         assert cl.classify(listed, d) == v
         for g in (fan, moved):
             for m in g.cones:
-                assert cl.is_simplicial(m, g.lattice) == linearly_independent(
+                simplicial = cl.classify_cone(m, g.lattice, d).simplicial
+                assert simplicial == linearly_independent(
                     cl.simplicial_multiset(m, g.lattice))
 
 
@@ -188,7 +192,7 @@ def test_face_monotonicity():
         flags = {m: cl.classify_cone(m, fan.lattice, d) for m in fan.cones}
         for m in fan.cones:
             for t in pc.faces(m.cone):
-                sub = flags[F.coloured_face(m, t, fan.lattice)]
+                sub = flags[face_colours_oracle(m, t, fan.lattice)]
                 sup = flags[m]
                 if sup.simplicial:
                     assert sub.simplicial

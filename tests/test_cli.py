@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from horofan import cli
+from horofan import cones
 from horofan import document as docmod
 from horofan import sampling as S
 
@@ -131,6 +132,19 @@ def test_split_machine_bytes_on_random_fans():
         assert report["quotient_rank"] >= 1
         digest.update(cli.render_machine(report).encode())
     assert digest.hexdigest() == SPLIT_DIGEST
+
+
+def test_split_of_a_split_document_changes_nothing():
+    # a fan without a torus factor splits to itself, on the identity basis
+    rng = random.Random(7)
+    for _ in range(30):
+        split = cli.run(_random_document(rng), "split")["document"]
+        again = cli.run(docmod.parse(json.dumps(split)), "split")
+        n = split["lattice_rank"]
+        assert again["quotient_rank"] == 0
+        assert again["n_prime_basis"] == [[int(i == j) for j in range(n)]
+                                          for i in range(n)]
+        assert again["document"] == split
 
 
 def _shuffled(rng, doc):
@@ -461,3 +475,18 @@ def test_mutated_documents_exit_with_a_documented_code(tmp_path, capsys):
             json.loads(out)
             codes.add(code)
     assert codes == {0, 2, 3, 4}
+
+
+def test_classify_and_cox_use_both_cone_caches():
+    """`bench/run.py` emits `cones.faces.cache_hit_ratio` and
+    `cones.intersect.cache_hit_ratio` only for a cached function that the
+    traced pass calls; this test stays until `bench/spans.py` emits both
+    keys unconditionally."""
+    cones.faces.cache_clear()
+    cones.intersect.cache_clear()
+    doc = docmod.parse((GOLDENS / "p2.json").read_text())
+    for command in ("classify", "cox"):
+        cli.run(doc, command)
+    for cached in (cones.faces, cones.intersect):
+        info = cached.cache_info()
+        assert info.hits + info.misses > 0, cached.__name__

@@ -11,6 +11,8 @@ from horofan import lattice as lat
 from horofan import sampling as S
 from horofan.errors import HasTorusFactors
 
+from oracles import cox_lift_oracle
+
 TORIC2 = dk.standard_diagram([], torus_rank=2)
 L2 = F.ColouredLattice(2, (), ())
 
@@ -207,3 +209,25 @@ def test_split_then_cox_matches_direct_recipe():
                 1 if j == i else 0 for j in range(q)))
         assert lat.cokernel_structure(lat.freeze_matrix(block)) \
             == data.class_group
+
+
+def test_lift_matches_the_containment_oracle():
+    # the lift picks each member's generators by its ray set; the oracle
+    # tests every non-coloured ray for containment and validates every pair
+    rng = random.Random(61)
+    torus_factors = 0
+    for i in range(40):
+        d = S.random_diagram(rng)
+        fan = S.random_coloured_fan(rng, d, rng.randint(1, 3),
+                                    n_hyperplanes=rng.randint(1, 3),
+                                    max_cells=3, complete=i % 4 == 0)
+        if i % 2:
+            fan = S.embed_with_torus_factor(rng, fan, rng.randint(1, 2))
+        split = cox.torus_split(fan)
+        torus_factors += split.quotient_rank > 0
+        fan = split.restricted_fan
+        lifted, want = cox.cox_construct(fan).cox_fan, cox_lift_oracle(fan)
+        assert lifted.lattice == want.lattice
+        assert [(m.cone.rays, m.colours) for m in lifted.cones] == \
+            [(m.cone.rays, m.colours) for m in want.cones]
+    assert torus_factors >= 20
