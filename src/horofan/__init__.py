@@ -18,8 +18,7 @@ from .cox import CoxConsistency, CoxData, TorusSplit, cox_consistency, \
 from .document import FanDocument, build, parse, render
 from .dynkin import DynkinData, DynkinEdge, connected_component, \
     is_projective_space_product, standard_diagram, vivid_colour_ok
-from .fans import ColouredCone, ColouredFan, ColouredLattice, coloured_rays, \
-    validate_fan
+from .fans import ColouredCone, ColouredFan, ColouredLattice, validate_fan
 from .lattice import FGAbelianGroup, cokernel_structure, extends_to_Z_basis, \
     rank_of, smith_normal_form
 from .local import LocalModel, affine_local, decolour
@@ -32,7 +31,7 @@ __all__ = [
     "ConeClassification", "CoxConsistency", "CoxData", "DynkinData",
     "DynkinEdge", "FGAbelianGroup", "FanDocument", "LocalModel", "TorusSplit",
     "Verdict", "affine_local", "build", "classify", "classify_cone",
-    "cokernel_structure", "coloured_rays", "cone_from_generators",
+    "cokernel_structure", "cone_from_generators",
     "connected_component", "contains", "cox_consistency", "cox_construct",
     "decolour", "extends_to_Z_basis", "extreme_rays", "faces", "has_torus_factors",
     "intersect", "is_face_of", "is_projective_space_product", "is_vivid",

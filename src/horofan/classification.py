@@ -15,10 +15,11 @@ Globally, over the whole fan:
 
 from __future__ import annotations
 
+from . import cones as pc
 from . import dynkin, lattice
 from .dynkin import DynkinData
 from .errors import ColourSetMismatch
-from .fans import ColouredCone, ColouredFan, ColouredLattice, coloured_rays
+from .fans import ColouredCone, ColouredFan, ColouredLattice
 from .lattice import Vec
 from .record import Record
 
@@ -46,12 +47,13 @@ class Verdict(Record):
 def simplicial_multiset(sc: ColouredCone, L: ColouredLattice) -> tuple[Vec, ...]:
     """Non-coloured ray generators plus one colour point per colour of the cone.
 
+    A ray is coloured when it generates the point of a colour of the cone.
     Colour points are taken with multiplicity: two colours sharing a point
     contribute it twice, which makes independence fail.
     """
-    non_coloured, _ = coloured_rays(sc, L)
-    points = list(non_coloured)
-    points += [L.xi(a) for a in sorted(sc.colours, key=L.colour_order)]
+    on_rays = {pc.primitive(L.xi(a)) for a in sc.colours}
+    points = [r for r in sc.cone.rays if r not in on_rays]
+    points += [L.xi(a) for a in sc.colours]
     return tuple(sorted(points))
 
 

@@ -66,15 +66,8 @@ def has_torus_factors(fan: ColouredFan) -> bool:
     """True iff the rays and colour points do not span the lattice, that is
     iff `torus_split(fan).quotient_rank > 0`."""
     L = fan.lattice
-    rays = {r for m in fan.cones for r in m.cone.rays}
-    return lattice.rank_of(list(rays) + list(L.colour_points)) < L.rank
-
-
-def cox_basis_index(fan: ColouredFan) -> tuple[BasisTag, ...]:
-    """Colours in diagram order, then non-coloured rays in lexicographic order."""
-    tags: list[BasisTag] = [("colour", a) for a in fan.lattice.colours]
-    tags += [("ray", u) for u in fan.non_coloured_rays()]
-    return tuple(tags)
+    rays = [m.cone.rays[0] for m in fan.ray_members()]
+    return lattice.rank_of(rays + list(L.colour_points)) < L.rank
 
 
 def cox_construct(fan: ColouredFan) -> CoxData:
@@ -84,7 +77,9 @@ def cox_construct(fan: ColouredFan) -> CoxData:
             "the fan has torus factors; apply torus_split and construct on "
             "the restricted fan")
     L = fan.lattice
-    tags = cox_basis_index(fan)
+    # colours in diagram order, then non-coloured rays in lexicographic order
+    tags = tuple([("colour", a) for a in L.colours]
+                 + [("ray", u) for u in fan.non_coloured_rays()])
     n_hat = len(tags)
     columns = [L.xi(value) if kind == "colour" else value for kind, value in tags]
     mu = tuple(tuple(col[i] for col in columns) for i in range(L.rank))
@@ -100,7 +95,7 @@ def cox_construct(fan: ColouredFan) -> CoxData:
         lifted.append(ColouredCone(pc.cone_from_generators(gens, n_hat), sc.colours))
     cox_fan = validate_fan(hat_lattice, lifted)
 
-    class_group = lattice.cokernel_structure(lattice.transpose(mu, ncols=n_hat))
+    class_group = lattice.cokernel_structure(columns)  # columns is mu^T
     return CoxData(
         basis_index=tags,
         n_hat_rank=n_hat,

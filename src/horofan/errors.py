@@ -44,10 +44,6 @@ class UnknownDiagram(ValidationError):
     """A component is not one of the finite-type decorated graphs A-G."""
 
 
-class BadEdge(ValidationError):
-    """Edge multiplicity or direction marker is inconsistent."""
-
-
 class BadParabolic(ValidationError):
     """The parabolic subset is not contained in the node set."""
 

@@ -139,26 +139,6 @@ def _inherit(sc: ColouredCone, t: pc.Cone, L: ColouredLattice) -> ColouredCone:
                                      if pc.contains(t, L.xi(a)) != pc.OUTSIDE))
 
 
-def coloured_rays(sc: ColouredCone, L: ColouredLattice
-                  ) -> tuple[tuple[Vec, ...], tuple[tuple[Vec, frozenset[str]], ...]]:
-    """Partition the rays of sc by whether they inherit a colour.
-
-    Returns (non_coloured, coloured): primitive generators of the colourless
-    rays, and (generator, colour set) pairs for the rest.
-    """
-    non_coloured = []
-    coloured = []
-    for r in sc.cone.rays:
-        # a colour lies on the ray iff its point is a nonnegative multiple of r
-        on_ray = frozenset(a for a in sc.colours
-                           if not any(L.xi(a)) or pc.primitive(L.xi(a)) == r)
-        if on_ray:
-            coloured.append((r, on_ray))
-        else:
-            non_coloured.append(r)
-    return tuple(non_coloured), tuple(coloured)
-
-
 def validate_fan(L: ColouredLattice, coloured_cones) -> ColouredFan:
     """Build a coloured fan from unchecked cones: validate, close under faces.
 
@@ -181,8 +161,8 @@ def validate_fan(L: ColouredLattice, coloured_cones) -> ColouredFan:
                     f"cones with rays {a.cone.rays} and {b.cone.rays} "
                     f"meet outside a common face")
 
-    members: dict[pc.Cone, ColouredCone] = {}
-    members[pc.zero_cone(L.rank)] = ColouredCone(pc.zero_cone(L.rank), frozenset())
+    origin = pc.zero_cone(L.rank)
+    members: dict[pc.Cone, ColouredCone] = {origin: ColouredCone(origin, frozenset())}
     for sc in inputs:
         for t in pc.faces(sc.cone):
             cf = _inherit(sc, t, L)  # t is a face of sc.cone by construction

@@ -222,40 +222,30 @@ def extends_to_Z_basis(vs, ambient_rank: int) -> bool:
     return True
 
 
-def saturation_with_extension(vs, ncols: int) -> tuple[Mat, Mat]:
-    """Basis of the saturation of the row span, plus coordinates in it.
+def span_coordinates(vs, ncols: int) -> tuple[Mat, Mat]:
+    """(B, coords): a Z-basis B of span_Q(vs) ∩ Z^ncols and each v's
+    coordinates in B, from one Smith normal form U @ vs @ V == D.
 
-    Returns (B, Binv) where the rows of B are a Z-basis of
-    span_Q(vs) ∩ Z^ncols, and Binv is the inverse of a unimodular matrix
-    whose first len(B) rows are B: a vector x of the span has coordinates
-    (x @ Binv)[:len(B)] in the basis B, and the remaining entries of
-    x @ Binv vanish exactly on the span.  Binv is the V of the Smith normal
-    form U @ vs @ V == D; since U @ vs == D @ V^-1, row i of B is row i of
-    U @ vs divided by d_i.
+    Since U @ vs == D @ V^-1, row i of B is row i of U @ vs divided by d_i,
+    and V inverts a unimodular matrix whose first len(B) rows are B: the
+    coordinates of v are (v @ V)[:len(B)], and the rest of v @ V vanishes
+    exactly on the span.
     """
     vs = freeze_matrix(vs)
     if not vs:
-        return (), identity(ncols)
+        return (), ()
     if len(vs[0]) != ncols:
         raise DimensionMismatch("ambient rank disagrees with vector length")
     U, D, V = smith_normal_form(vs)
     rank = sum(1 for i in range(min(len(vs), ncols)) if D[i][i])
     basis = tuple(tuple(x // D[i][i] for x in vec_mat(U[i], vs))
                   for i in range(rank))
-    return basis, V
-
-
-def span_coordinates(vs, ncols: int) -> tuple[Mat, Mat]:
-    """(B, coords): a saturated basis B of the span of vs and the
-    coordinates of each v in B, read off `saturation_with_extension`."""
-    basis, Binv = saturation_with_extension(vs, ncols)
-    d = len(basis)
     coords = []
     for v in vs:
-        full = vec_mat(v, Binv)
-        if any(full[d:]):
+        full = vec_mat(v, V)
+        if any(full[rank:]):
             raise AssertionError("vector not in the saturated span")
-        coords.append(full[:d])
+        coords.append(full[:rank])
     return basis, tuple(coords)
 
 
@@ -285,10 +275,6 @@ class FGAbelianGroup(Record):
             if prev is not None and d % prev:
                 raise ValueError("invariant factors must form a divisibility chain")
             prev = d
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     def __str__(self) -> str:
         parts = []

@@ -10,7 +10,6 @@ simplicial, less regular, or less vivid.
 
 from __future__ import annotations
 
-from . import dynkin
 from .dynkin import DynkinData
 from .errors import ColourSetMismatch, UnknownColour
 from .fans import ColouredCone, ColouredFan, ColouredLattice
@@ -29,8 +28,8 @@ def affine_local(sc: ColouredCone, L: ColouredLattice, d: DynkinData) -> LocalMo
     The Levi diagram is an induced subdiagram of `d`.  A principal
     submatrix of a positive definite Cartan form is positive definite
     (Humphreys, Introduction to Lie Algebras and Representation Theory,
-    §11), so it is of finite type whenever `d` is, and it gets the node,
-    edge and parabolic checks but no type recognition.
+    §11), so it is of finite type whenever `d` is; its nodes and edges are
+    sorted subsequences of `d`'s, so it needs no checks and no recognition.
     """
     if set(L.colours) != set(d.colours):
         raise ColourSetMismatch(
@@ -43,7 +42,7 @@ def affine_local(sc: ColouredCone, L: ColouredLattice, d: DynkinData) -> LocalMo
     keep = set(d.parabolic) | sc.colours
     nodes = tuple(n for n in d.nodes if n in keep)
     edges = tuple(e for e in d.edges if e.a in keep and e.b in keep)
-    levi = dynkin._assemble(nodes, edges, d.parabolic, d.torus_rank)
+    levi = DynkinData(nodes, edges, d.torus_rank, d.parabolic)
 
     kept_colours = tuple(a for a in L.colours if a in sc.colours)
     restricted = ColouredLattice(

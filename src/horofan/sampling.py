@@ -21,10 +21,10 @@ from .fans import (ColouredCone, ColouredFan, ColouredLattice, map_fan,
 from .lattice import Mat, Vec
 
 
-def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> Mat:
-    """A random unimodular integer matrix built from elementary operations."""
+def random_unimodular(rng: random.Random, n: int) -> Mat:
+    """A random unimodular matrix: 12 random elementary operations on the identity."""
     M = [list(r) for r in lattice.identity(n)]
-    for _ in range(steps):
+    for _ in range(12):
         i, j = rng.randrange(n), rng.randrange(n)
         op = rng.randrange(3)
         if op == 0 and i != j:
@@ -42,9 +42,8 @@ _FAMILY_POOL = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
                 ("D", 4), ("F", 4), ("G", 2)]
 
 
-def random_diagram(rng: random.Random, max_components: int = 2,
-                   colour_bias: float = 0.5) -> dk.DynkinData:
-    """A random diagram with a random parabolic subset."""
+def random_diagram(rng: random.Random, max_components: int = 2) -> dk.DynkinData:
+    """A random diagram; each node is parabolic with probability 1/2."""
     specs = []
     seen: dict[str, int] = {}
     for _ in range(rng.randint(1, max_components)):
@@ -54,7 +53,7 @@ def random_diagram(rng: random.Random, max_components: int = 2,
         prefix = base if seen[base] == 1 else f"{base}_{seen[base]}"
         specs.append((family, rank, prefix))
     d = dk.standard_diagram(specs, torus_rank=rng.randint(0, 1))
-    parabolic = [n for n in d.nodes if rng.random() < colour_bias]
+    parabolic = [n for n in d.nodes if rng.random() < 0.5]
     return dk.standard_diagram(specs, torus_rank=d.torus_rank, parabolic=parabolic)
 
 

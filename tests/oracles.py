@@ -6,11 +6,13 @@ the gcd-of-minors formula, dim-3 facets use cross products, extreme rays of
 halfspace systems use every subset of k - 1 rows, and diagram
 recognition, down to the numbering, matches decorated graphs against
 `standard_component` by permutation search (the templates themselves are
-pinned by explicit-edge tests).  The library recognizes no type: it walks
-a chain from the colour to decide the vivid condition.  Here
-`component_labels` recognizes every finite-type numbering by searching
-along edges; it is the oracle of that walk and of `standard_diagram`, and
-the permutation search is its oracle.
+pinned by explicit-edge tests).  `_assemble` checks arbitrary nodes and
+edges, which the library never builds; it is the oracle of
+`standard_diagram`, which checks only what its caller chooses.  The
+library recognizes no type: it walks a chain from the colour to decide
+the vivid condition.  Here `component_labels` recognizes every
+finite-type numbering by searching along edges; it is the oracle of that
+walk and of `standard_diagram`, and the permutation search is its oracle.
 `face_colours_oracle` decides the face rule with Caratheodory membership;
 `cox_lift_oracle` is the Cox lift by cone containment and full fan
 validation, the oracle of the lift that picks generators by ray set.
@@ -27,9 +29,10 @@ from itertools import combinations, permutations
 
 from horofan import cones as pc
 from horofan import dynkin as dk
-from horofan.dynkin import FAMILIES, _STANDARD_RANKS, DynkinData, _adjacency, \
-    _assemble, _reachable, connected_component, standard_component
-from horofan.errors import UnknownDiagram, UnknownNode, ValidationError
+from horofan.dynkin import FAMILIES, _STANDARD_RANKS, DynkinData, DynkinEdge, \
+    _adjacency, _reachable, connected_component, standard_component
+from horofan.errors import BadParabolic, UnknownDiagram, UnknownNode, \
+    ValidationError
 from horofan.fans import ColouredCone, ColouredFan, ColouredLattice, validate_fan
 from horofan.lattice import Mat, Vec, dot, identity, rank_of, smith_normal_form
 from horofan.record import Record
@@ -299,6 +302,53 @@ class TypeLabel(Record):
     family: str
     rank: int
     nodes_by_index: tuple[str, ...]  # position i holds the node numbered i+1
+
+
+class BadEdge(ValidationError):
+    """Edge multiplicity or direction marker is inconsistent."""
+
+
+def _assemble(nodes, edges, parabolic, torus_rank: int) -> DynkinData:
+    """A DynkinData from arbitrary nodes and edges, after the node, edge and
+    parabolic checks, unrecognized; edges get their endpoints in string
+    order and are sorted.  The library builds only standard components,
+    well formed by construction, and checks no edge itself."""
+    nodes = tuple(str(n) for n in nodes)
+    if len(set(nodes)) != len(nodes):
+        raise ValidationError("duplicate node identifiers")
+    if torus_rank < 0:
+        raise ValidationError("negative torus rank")
+    node_set = set(nodes)
+
+    norm_edges = []
+    seen_pairs = set()
+    for e in edges:
+        if not isinstance(e, DynkinEdge):
+            e = DynkinEdge(*e)
+        if e.a not in node_set or e.b not in node_set:
+            raise UnknownNode(f"edge endpoint not a node: {e.a!r}-{e.b!r}")
+        if e.a == e.b:
+            raise BadEdge(f"self-loop at {e.a!r}")
+        if e.multiplicity not in (1, 2, 3):
+            raise BadEdge(f"edge multiplicity {e.multiplicity} outside {{1,2,3}}")
+        if e.multiplicity == 1 and e.long is not None:
+            raise BadEdge("single edge carries a direction marker")
+        if e.multiplicity > 1 and e.long not in (e.a, e.b):
+            raise BadEdge("multiple edge must mark one endpoint as the long root")
+        pair = e.ends()
+        if pair in seen_pairs:
+            raise BadEdge(f"duplicate edge {e.a!r}-{e.b!r}")
+        seen_pairs.add(pair)
+        a, b = sorted((e.a, e.b))
+        norm_edges.append(DynkinEdge(a, b, e.multiplicity, e.long))
+
+    parabolic = frozenset(str(n) for n in parabolic)
+    if not parabolic <= node_set:
+        raise BadParabolic(f"parabolic nodes outside the diagram: "
+                           f"{sorted(parabolic - node_set)}")
+
+    return DynkinData(nodes, tuple(sorted(norm_edges, key=lambda e: (e.a, e.b))),
+                      torus_rank, parabolic)
 
 
 def validate_diagram(nodes, edges, parabolic=(), torus_rank: int = 0) -> DynkinData:

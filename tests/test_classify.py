@@ -4,6 +4,7 @@ import pytest
 
 from horofan import classification as cl
 from horofan import cones as pc
+from horofan import cox
 from horofan import dynkin as dk
 from horofan import fans as F
 from horofan import lattice as lat
@@ -200,3 +201,28 @@ def test_face_monotonicity():
                     assert sub.regular
                 if sup.vivid:
                     assert sub.vivid
+
+
+def test_simplicial_multiset_agrees_with_the_cox_ray_set():
+    # two statements of the colour-on-ray rule: per cone, a ray is coloured
+    # when it is the primitive generator of one of the cone's colour points;
+    # per fan, when its ray member carries a colour (the Cox basis)
+    rng = random.Random(67)
+    torus_factors = 0
+    for i in range(40):
+        d = S.random_diagram(rng)
+        fan = S.random_coloured_fan(rng, d, rng.randint(1, 3),
+                                    n_hyperplanes=rng.randint(1, 3),
+                                    max_cells=3, complete=i % 3 == 0)
+        if i % 4 == 1:
+            fan = S.embed_with_torus_factor(rng, fan, rng.randint(1, 2))
+            split = cox.torus_split(fan)
+            torus_factors += split.quotient_rank > 0
+            fan = split.restricted_fan
+        L = fan.lattice
+        non_coloured = set(fan.non_coloured_rays())
+        for m in fan.cones:
+            want = [r for r in m.cone.rays if r in non_coloured]
+            want += [L.xi(a) for a in m.colours]
+            assert cl.simplicial_multiset(m, L) == tuple(sorted(want))
+    assert torus_factors == 10

@@ -374,6 +374,19 @@ def _a_chain_doc(rank):
             "cones": [{"rays": [[1]], "colours": [f"A{rank}.1"]}]}
 
 
+def test_local_levi_edges_in_string_order(tmp_path, capsys):
+    # from rank 10 on, string order differs from numbering order:
+    # "A12.10" < "A12.9"
+    path = tmp_path / "a12.json"
+    path.write_text(json.dumps(_a_chain_doc(12)))
+    code, rep, _ = machine(capsys, "local", path, "--cone", 1)
+    assert code == cli.EXIT_OK
+    edges = rep["levi"]["edges"]
+    assert len(edges) == 11
+    assert all(a < b for a, b, _, _ in edges)
+    assert ["A12.10", "A12.9", 1, None] in edges
+
+
 @pytest.mark.parametrize("make,cap", [(_torus_doc, docmod.MAX_LATTICE_RANK),
                                       (_a_chain_doc, docmod.MAX_COMPONENT_RANK)],
                          ids=["lattice_rank", "component_rank"])

@@ -91,7 +91,7 @@ def test_cox_colour_line():
     data = cox.cox_construct(fan)
     assert data.n_hat_rank == 1
     assert data.mu == ((1,),)
-    assert data.class_group.is_trivial
+    assert data.class_group == lat.FGAbelianGroup(0)
     m = data.cox_fan.maximal_cones()
     assert len(m) == 1 and m[0].cone.rays == ((1,),) \
         and m[0].colours == {"A3.2"}

@@ -4,12 +4,13 @@ from itertools import combinations, product
 import pytest
 
 from horofan import dynkin as dk
-from horofan.errors import (BadEdge, BadParabolic, UnknownColour,
-                            UnknownDiagram, UnknownNode, ValidationError)
+from horofan.document import MAX_COMPONENT_RANK
+from horofan.errors import (BadParabolic, UnknownColour, UnknownDiagram,
+                            UnknownNode, ValidationError)
 
-from oracles import (component_labels, components, example_A_rule,
-                     numbering_oracle, recognize_type, template_matches,
-                     validate_diagram)
+from oracles import (BadEdge, _assemble, component_labels, components,
+                     example_A_rule, numbering_oracle, recognize_type,
+                     template_matches, validate_diagram)
 
 
 def diagram(spec_list, parabolic=(), torus_rank=0):
@@ -272,6 +273,31 @@ def test_standard_diagram_matches_validated_diagram():
         dk.standard_diagram([("A", 1, "A1"), ("A", 1, "A1")])
 
 
+def test_standard_diagram_matches_assemble_at_every_rank():
+    # string order puts "A10.10" before "A10.9", so from rank 10 on the
+    # endpoints of an edge are not in numbering order; `standard_component`
+    # must list them in string order, as the oracle's checks normalize them
+    rng = random.Random(43)
+    compared = 0
+    for f in dk.FAMILIES:
+        for r in range(1, MAX_COMPONENT_RANK + 1):
+            if not dk._STANDARD_RANKS[f](r):
+                continue
+            specs = [(f, r, f"{f}{r}"), ("A", 2, "X")]
+            nodes, edges = [], []
+            for spec in specs:
+                ns, es = dk.standard_component(*spec)
+                nodes += ns
+                edges += es
+            parabolic = [n for n in nodes if rng.random() < 0.5]
+            t = rng.randint(0, 3)
+            d = dk.standard_diagram(specs, t, parabolic)
+            assert d == _assemble(nodes, edges, parabolic, t), (f, r)
+            assert all(e.a < e.b for e in d.edges)
+            compared += 1
+    assert compared == 64 + 63 + 63 + 61 + 3 + 1 + 1
+
+
 def _recognized_verdict(d, F, alpha):
     """`vivid_colour_ok` with its chain clause decided by type recognition:
     some label of family A or C numbers alpha first.  Also returns the
@@ -339,8 +365,9 @@ def test_chain_walk_must_visit_every_node():
 
 MOVED_TO_ORACLES = ("TypeLabel", "validate_diagram", "components", "_template",
                     "component_labels", "recognize_type")
-# second copies of a rule that `classify_cone` and `fans._inherit` keep
-DELETED = ("coloured_face", "is_simplicial", "is_regular")
+# second copies of a rule that `classify_cone`, `fans._inherit` and
+# `simplicial_multiset` keep
+DELETED = ("coloured_face", "is_simplicial", "is_regular", "coloured_rays")
 
 
 def test_public_api():
@@ -350,3 +377,9 @@ def test_public_api():
     gone = MOVED_TO_ORACLES + DELETED
     assert not set(gone) & set(horofan.__all__)
     assert not any(hasattr(horofan, name) for name in gone)
+    # only the tests used these; the oracle checks arbitrary edges
+    from horofan import cox, errors, lattice
+    assert not hasattr(dk, "_assemble") and not hasattr(errors, "BadEdge")
+    assert not hasattr(lattice, "saturation_with_extension")
+    assert not hasattr(cox, "cox_basis_index")
+    assert not hasattr(lattice.FGAbelianGroup, "is_trivial")

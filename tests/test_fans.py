@@ -4,6 +4,7 @@ import pytest
 
 from horofan import cones as pc
 from horofan import cox
+from horofan.classification import simplicial_multiset
 from horofan import fans as F
 from horofan import sampling as S
 from horofan.local import decolour
@@ -111,21 +112,18 @@ def test_coloured_rays_partition():
     L = F.ColouredLattice(2, ("a",), ((1, 0),))
     sc = F.ColouredCone(pc.cone_from_generators([(1, 0), (0, 1)], 2),
                         frozenset({"a"}))
-    nc, cr = F.coloured_rays(sc, L)
-    assert nc == ((0, 1),)
-    assert cr == (((1, 0), frozenset({"a"})),)
+    # the colour lies on the ray (1, 0): the ray gives way to its point
+    assert simplicial_multiset(sc, L) == ((0, 1), (1, 0))
 
     # interior colour point: all rays stay non-coloured
     L2 = F.ColouredLattice(2, ("a",), ((1, 1),))
     sc2 = F.ColouredCone(pc.cone_from_generators([(1, 0), (0, 1)], 2),
                          frozenset({"a"}))
-    nc, cr = F.coloured_rays(sc2, L2)
-    assert set(nc) == {(1, 0), (0, 1)} and cr == ()
+    assert simplicial_multiset(sc2, L2) == ((0, 1), (1, 0), (1, 1))
 
     colour_free = F.ColouredCone(pc.cone_from_generators([(1, 0), (0, 1)], 2),
                                  frozenset())
-    nc, cr = F.coloured_rays(colour_free, L2)
-    assert set(nc) == {(1, 0), (0, 1)} and cr == ()
+    assert simplicial_multiset(colour_free, L2) == ((0, 1), (1, 0))
 
 
 def test_closure_idempotent():

@@ -59,9 +59,9 @@ def test_one_smith_normal_form(monkeypatch):
     monkeypatch.setattr(lat, "smith_normal_form", counted)
     assert lat.cokernel_structure([(2, 0), (0, 3)]) == lat.FGAbelianGroup(0, (6,))
     assert len(calls) == 1
-    assert lat.saturation_with_extension([(2, 4, 0)], 3)[0] == ((1, 2, 0),)
+    assert lat.span_coordinates([(2, 4, 0)], 3) == (((1, 2, 0),), ((2,),))
     assert len(calls) == 2
-    assert lat.saturation_with_extension([], 3) == ((), lat.identity(3))
+    assert lat.span_coordinates([], 3) == ((), ())
     assert len(calls) == 2
     assert not hasattr(lat, "_snf") and not hasattr(lat, "_SnfState")
 
@@ -167,12 +167,14 @@ def test_snf_postconditions(A):
 def test_saturation_coordinates(A):
     A = lat.freeze_matrix(A)
     n = len(A[0])
-    B, Binv = lat.saturation_with_extension(A, n)
+    B, coords = lat.span_coordinates(A, n)
     assert len(B) == lat.rank_of(A)
-    assert abs(lat.determinant(Binv)) == 1
-    # the basis vectors have unit coordinates; the generators lie in the span
-    assert lat.mat_mul(B, Binv) == lat.identity(n)[:len(B)]
-    assert all(not any(lat.vec_mat(a, Binv)[len(B):]) for a in A)
+    assert lat.extends_to_Z_basis(B, n)
+    # each generator is rebuilt from its coordinates; when A is zero the
+    # basis is empty, and the generators are zero vectors of length n
+    assert len(coords) == len(A)
+    for a, c in zip(A, coords):
+        assert (lat.vec_mat(c, B) if B else (0,) * n) == a
 
 
 @given(matrices)
