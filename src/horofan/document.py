@@ -14,8 +14,8 @@ a parabolic subset, a coloured lattice, and a list of coloured cones:
 Node identifiers are "<prefix>.<index>" with indices in the Bourbaki
 numbering of the component.  The prefix of a component is family+rank
 ("A3"); if several components share family and rank the later ones get
-"_2", "_3", ... suffixes ("A1", "A1_2").  `colour_points` must name every
-node outside the parabolic set exactly once.
+"_2", "_3", ... suffixes ("A1", "A1_2"); see `dynkin.node_names`.
+`colour_points` must name every node outside the parabolic set exactly once.
 
 `parse` performs schema and identifier validation only; `build` constructs
 the diagram, lattice and validated fan and may raise validation errors.
@@ -52,23 +52,6 @@ class FanDocument(Record):
     lattice_rank: int
     colour_points: tuple[tuple[str, Vec], ...]  # diagram order
     cones: tuple[tuple[tuple[Vec, ...], tuple[str, ...]], ...]  # (rays, colours)
-
-
-def component_prefixes(components) -> list[str]:
-    seen: dict[str, int] = {}
-    prefixes = []
-    for comp in components:
-        base = f"{comp.family}{comp.rank}"
-        seen[base] = seen.get(base, 0) + 1
-        prefixes.append(base if seen[base] == 1 else f"{base}_{seen[base]}")
-    return prefixes
-
-
-def node_names(components) -> list[str]:
-    names = []
-    for comp, prefix in zip(components, component_prefixes(components)):
-        names += [f"{prefix}.{i}" for i in range(1, comp.rank + 1)]
-    return names
 
 
 def _expect(obj, key, kind, where):
@@ -108,7 +91,7 @@ def parse(text: str) -> FanDocument:
     torus_rank = _expect(group, "torus_rank", int, "group")
     if torus_rank < 0:
         raise ParseError("group: torus_rank must be nonnegative")
-    components = []
+    pairs = []
     for i, c in enumerate(comp_list):
         fam = _expect(c, "family", str, f"group.components[{i}]").upper()
         rank = _expect(c, "rank", int, f"group.components[{i}]")
@@ -119,9 +102,9 @@ def parse(text: str) -> FanDocument:
         if rank > MAX_COMPONENT_RANK:
             raise ParseError(f"group.components[{i}]: rank {rank} exceeds the "
                              f"limit {MAX_COMPONENT_RANK}")
-        components.append(GroupComponent(fam, rank))
+        pairs.append((fam, rank))
 
-    nodes = node_names(components)
+    nodes = dk.node_names(pairs)
     node_set = set(nodes)
 
     parabolic = _expect(raw, "parabolic", list, "document")
@@ -134,6 +117,7 @@ def parse(text: str) -> FanDocument:
         raise ParseError("parabolic: duplicate node")
     parabolic_set = set(parabolic)
     colours = [n for n in nodes if n not in parabolic_set]
+    colour_set = set(colours)
 
     lattice_rank = _expect(raw, "lattice_rank", int, "document")
     if lattice_rank < 0:
@@ -144,7 +128,7 @@ def parse(text: str) -> FanDocument:
 
     points_raw = _expect(raw, "colour_points", dict, "document")
     for name in points_raw:
-        if name not in colours:
+        if name not in colour_set:
             raise UnresolvedIdentifier(f"colour_points: {name!r} is not a colour")
     missing = [c for c in colours if c not in points_raw]
     if missing:
@@ -161,12 +145,12 @@ def parse(text: str) -> FanDocument:
                      for j, r in enumerate(rays_raw))
         cols_raw = _expect(c, "colours", list, f"cones[{i}]")
         for a in cols_raw:
-            if a not in colours:
+            if not isinstance(a, str) or a not in colour_set:  # a list is unhashable
                 raise UnresolvedIdentifier(f"cones[{i}]: unknown colour {a!r}")
         cones.append((rays, tuple(cols_raw)))
 
     return FanDocument(
-        components=tuple(components),
+        components=tuple(GroupComponent(*p) for p in pairs),
         torus_rank=torus_rank,
         parabolic=tuple(n for n in nodes if n in parabolic_set),
         lattice_rank=lattice_rank,
@@ -226,8 +210,8 @@ def render(doc: FanDocument) -> str:
 
 def build(doc: FanDocument) -> tuple[dk.DynkinData, ColouredLattice, ColouredFan]:
     """Construct and validate the diagram, lattice and fan of a document."""
-    specs = [(c.family, c.rank, prefix) for c, prefix
-             in zip(doc.components, component_prefixes(doc.components))]
+    pairs = [(c.family, c.rank) for c in doc.components]
+    specs = [(*pair, prefix) for pair, prefix in zip(pairs, dk.component_prefixes(pairs))]
     diagram = dk.standard_diagram(specs, doc.torus_rank, doc.parabolic)
     lattice_ = ColouredLattice(
         doc.lattice_rank,

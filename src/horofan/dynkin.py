@@ -190,6 +190,24 @@ def standard_component(family: str, rank: int, prefix: str
     return name[1:], edges
 
 
+def component_prefixes(pairs) -> list[str]:
+    """The prefix of each (family, rank) component: family+rank ("A3"), the
+    later components of a repeated family and rank suffixed "_2", "_3", ..."""
+    seen: dict[str, int] = {}
+    prefixes = []
+    for family, rank in pairs:
+        base = f"{family}{rank}"
+        seen[base] = seen.get(base, 0) + 1
+        prefixes.append(base if seen[base] == 1 else f"{base}_{seen[base]}")
+    return prefixes
+
+
+def node_names(pairs) -> list[str]:
+    """The components' nodes in diagram order, as `standard_component` names them."""
+    return [f"{prefix}.{i}" for (_, rank), prefix in zip(pairs, component_prefixes(pairs))
+            for i in range(1, rank + 1)]
+
+
 def standard_diagram(component_specs, torus_rank: int = 0, parabolic=()) -> DynkinData:
     """Assemble a diagram from (family, rank, prefix) component specs; only
     the prefixes, torus rank and parabolic nodes are checked, no type."""

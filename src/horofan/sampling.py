@@ -44,17 +44,11 @@ _FAMILY_POOL = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
 
 def random_diagram(rng: random.Random, max_components: int = 2) -> dk.DynkinData:
     """A random diagram; each node is parabolic with probability 1/2."""
-    specs = []
-    seen: dict[str, int] = {}
-    for _ in range(rng.randint(1, max_components)):
-        family, rank = rng.choice(_FAMILY_POOL)
-        base = f"{family}{rank}"
-        seen[base] = seen.get(base, 0) + 1
-        prefix = base if seen[base] == 1 else f"{base}_{seen[base]}"
-        specs.append((family, rank, prefix))
-    d = dk.standard_diagram(specs, torus_rank=rng.randint(0, 1))
-    parabolic = [n for n in d.nodes if rng.random() < 0.5]
-    return dk.standard_diagram(specs, torus_rank=d.torus_rank, parabolic=parabolic)
+    pairs = [rng.choice(_FAMILY_POOL) for _ in range(rng.randint(1, max_components))]
+    torus_rank = rng.randint(0, 1)
+    parabolic = [n for n in dk.node_names(pairs) if rng.random() < 0.5]
+    specs = [(*pair, prefix) for pair, prefix in zip(pairs, dk.component_prefixes(pairs))]
+    return dk.standard_diagram(specs, torus_rank, parabolic)
 
 
 def arrangement_cells(rng: random.Random, rank: int,

@@ -226,3 +226,29 @@ def test_simplicial_multiset_agrees_with_the_cox_ray_set():
             want += [L.xi(a) for a in m.colours]
             assert cl.simplicial_multiset(m, L) == tuple(sorted(want))
     assert torus_factors == 10
+
+
+def _flags(v):
+    """The global verdicts and the sorted per-cone flags of a verdict."""
+    return ((v.q_factorial, v.factorial, v.smooth, v.quotient_singularities,
+             v.toroidal),
+            sorted((c.simplicial, c.regular, c.vivid, c.toroidal) for c in v.cones))
+
+
+def test_flags_do_not_change_under_a_torus_factor():
+    # a torus factor is a smooth product factor and the criterion is local:
+    # adding one, or splitting it off again, changes no flag of any cone
+    rng = random.Random(1919)
+    seen = set()
+    for i in range(30):
+        d = S.random_diagram(rng)
+        fan = S.random_coloured_fan(rng, d, rng.randint(1, 3),
+                                    n_hyperplanes=rng.randint(1, 3),
+                                    max_cells=3, complete=i % 3 == 0)
+        embedded = S.embed_with_torus_factor(rng, fan, rng.randint(1, 2))
+        split = cox.torus_split(embedded)
+        want = _flags(cl.classify(fan, d))
+        assert _flags(cl.classify(embedded, d)) == want
+        assert _flags(cl.classify(split.restricted_fan, d)) == want
+        seen.add(want[0])
+    assert len(seen) >= 4  # six distinct global verdicts at this seed

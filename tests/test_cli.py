@@ -122,6 +122,17 @@ def _random_document(rng):
     return docmod.document_for_fan(template, fan)
 
 
+def test_parse_inverts_render_on_random_documents():
+    # and the canonical bytes do not depend on how the parsed text was laid out
+    rng = random.Random(2718)
+    for _ in range(30):
+        doc = _random_document(rng)
+        text = docmod.render(doc)
+        assert docmod.parse(text) == doc
+        compact = json.dumps(docmod.to_mapping(doc), separators=(",", ":"))
+        assert docmod.render(docmod.parse(compact)) == text
+
+
 def test_split_machine_bytes_on_random_fans():
     # n_prime_basis is the one output read off the inverse column transform
     # of the Smith normal form; the digest pins it beyond the single golden

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -54,9 +55,10 @@ def test_wrong_vector_length():
 
 def test_unresolved_identifiers():
     raw = json.loads(load("a3_colour_line.json"))
-    raw["cones"][0]["colours"] = ["A3.9"]
-    with pytest.raises(UnresolvedIdentifier):
-        doc.parse(json.dumps(raw))
+    for colour in ("A3.9", [1], {"A3.2": 1}):  # colour names are looked up in a set
+        raw["cones"][0]["colours"] = [colour]
+        with pytest.raises(UnresolvedIdentifier):
+            doc.parse(json.dumps(raw))
 
     raw = json.loads(load("a3_colour_line.json"))
     raw["parabolic"] = ["A3.1", "B9.1"]
@@ -105,6 +107,23 @@ def test_duplicate_component_prefixes():
     diagram, lattice_, fan = doc.build(d)
     assert set(diagram.nodes) == {"A1.1", "A1_2.1"}
     assert lattice_.colours == ("A1_2.1",)
+
+
+def test_parse_time_is_linear_in_the_colours():
+    # colour names are checked against a set: 800 A64 components, 51,200
+    # colours each named once in colour_points and once on a cone, parse in
+    # a fraction of a second; checked against the list, the time grew with
+    # the square of the colours
+    nodes = dk.node_names([("A", 64)] * 800)
+    text = json.dumps({
+        "group": {"components": [{"family": "A", "rank": 64}] * 800, "torus_rank": 0},
+        "parabolic": [], "lattice_rank": 1,
+        "colour_points": {a: [1] for a in nodes},
+        "cones": [{"rays": [[1]], "colours": nodes}]})
+    start = time.perf_counter()
+    d = doc.parse(text)
+    assert time.perf_counter() - start < 5
+    assert len(d.colour_points) == len(d.cones[0][1]) == 51200
 
 
 def test_build_classifies_golden():
