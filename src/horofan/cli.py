@@ -69,7 +69,7 @@ def _classified(fan: ColouredFan, diagram: dk.DynkinData) -> dict:
     }
 
 
-def run(doc: docmod.FanDocument, command: str, *, cone_index: int | None = None,
+def run(doc: dict, command: str, *, cone_index: int | None = None,
         keep: list[str] | None = None) -> dict:
     """Execute a subcommand on a parsed document; returns the machine report."""
     diagram, lattice_, fan = docmod.build(doc)
@@ -127,22 +127,20 @@ def run(doc: docmod.FanDocument, command: str, *, cone_index: int | None = None,
     if command == "decolour":
         kept = keep or []
         stripped = localmod.decolour(fan, kept)
-        new_doc = docmod.document_for_fan(doc, stripped)
         return {
             "command": "decolour",
             "keep": sorted(kept, key=lattice_.colour_order),
             **_classified(stripped, diagram),
-            "document": docmod.to_mapping(new_doc),
+            "document": docmod.document_for_fan(doc, stripped),
         }
 
     if command == "split":
         split = cox_mod.torus_split(fan)
-        new_doc = docmod.document_for_fan(doc, split.restricted_fan)
         return {
             "command": "split",
             "n_prime_basis": [list(b) for b in split.n_prime_basis],
             "quotient_rank": split.quotient_rank,
-            "document": docmod.to_mapping(new_doc),
+            "document": docmod.document_for_fan(doc, split.restricted_fan),
         }
 
     raise ValueError(f"unknown command {command!r}")

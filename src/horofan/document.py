@@ -17,8 +17,12 @@ numbering of the component.  The prefix of a component is family+rank
 "_2", "_3", ... suffixes ("A1", "A1_2"); see `dynkin.node_names`.
 `colour_points` must name every node outside the parabolic set exactly once.
 
-`parse` performs schema and identifier validation only; `build` constructs
-the diagram, lattice and validated fan and may raise validation errors.
+`parse` performs schema and identifier validation only and returns the
+canonical mapping: the JSON value that `--format machine` writes for a
+document, with each family in upper case, `parabolic` and `colour_points`
+in diagram order, cones as {"rays", "colours"}, and every array a list, so
+`parse(t) == json.loads(t)` for canonical text `t`.  `build` constructs the
+diagram, lattice and validated fan and may raise validation errors.
 `parse` also refuses a lattice rank above MAX_LATTICE_RANK and a component
 rank above MAX_COMPONENT_RANK, so that a short document cannot ask for
 work quadratic in a huge rank.
@@ -33,25 +37,9 @@ from . import cones as pc
 from . import dynkin as dk
 from .errors import DimensionMismatch, ParseError, UnresolvedIdentifier
 from .fans import ColouredCone, ColouredFan, ColouredLattice, validate_fan
-from .lattice import Vec, freeze_vector
-from .record import Record
 
 MAX_LATTICE_RANK = 64
 MAX_COMPONENT_RANK = 64
-
-
-class GroupComponent(Record):
-    family: str
-    rank: int
-
-
-class FanDocument(Record):
-    components: tuple[GroupComponent, ...]
-    torus_rank: int
-    parabolic: tuple[str, ...]
-    lattice_rank: int
-    colour_points: tuple[tuple[str, Vec], ...]  # diagram order
-    cones: tuple[tuple[tuple[Vec, ...], tuple[str, ...]], ...]  # (rays, colours)
 
 
 def _expect(obj, key, kind, where):
@@ -63,17 +51,17 @@ def _expect(obj, key, kind, where):
     return val
 
 
-def _int_vector(raw, length, where) -> Vec:
+def _int_vector(raw, length, where) -> list[int]:
     if not isinstance(raw, list) or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in raw):
         raise ParseError(f"{where}: expected a list of integers")
     if len(raw) != length:
         raise DimensionMismatch(
             f"{where}: vector of length {len(raw)}, lattice rank is {length}")
-    return freeze_vector(raw)
+    return raw
 
 
-def parse(text: str) -> FanDocument:
+def parse(text: str) -> dict:
     """Parse and schema-check a document; identifiers are resolved here."""
     try:
         raw = json.loads(text)
@@ -133,44 +121,29 @@ def parse(text: str) -> FanDocument:
     missing = [c for c in colours if c not in points_raw]
     if missing:
         raise UnresolvedIdentifier(f"colour_points: missing {missing}")
-    colour_points = tuple(
-        (c, _int_vector(points_raw[c], lattice_rank, f"colour_points[{c!r}]"))
-        for c in colours)
+    colour_points = {
+        c: _int_vector(points_raw[c], lattice_rank, f"colour_points[{c!r}]")
+        for c in colours}
 
     cones_raw = _expect(raw, "cones", list, "document")
     cones = []
     for i, c in enumerate(cones_raw):
         rays_raw = _expect(c, "rays", list, f"cones[{i}]")
-        rays = tuple(_int_vector(r, lattice_rank, f"cones[{i}].rays[{j}]")
-                     for j, r in enumerate(rays_raw))
+        rays = [_int_vector(r, lattice_rank, f"cones[{i}].rays[{j}]")
+                for j, r in enumerate(rays_raw)]
         cols_raw = _expect(c, "colours", list, f"cones[{i}]")
         for a in cols_raw:
             if not isinstance(a, str) or a not in colour_set:  # a list is unhashable
                 raise UnresolvedIdentifier(f"cones[{i}]: unknown colour {a!r}")
-        cones.append((rays, tuple(cols_raw)))
+        cones.append({"rays": rays, "colours": cols_raw})
 
-    return FanDocument(
-        components=tuple(GroupComponent(*p) for p in pairs),
-        torus_rank=torus_rank,
-        parabolic=tuple(n for n in nodes if n in parabolic_set),
-        lattice_rank=lattice_rank,
-        colour_points=colour_points,
-        cones=tuple(cones),
-    )
-
-
-def to_mapping(doc: FanDocument) -> dict:
     return {
-        "group": {
-            "components": [{"family": c.family, "rank": c.rank}
-                           for c in doc.components],
-            "torus_rank": doc.torus_rank,
-        },
-        "parabolic": list(doc.parabolic),
-        "lattice_rank": doc.lattice_rank,
-        "colour_points": {name: list(p) for name, p in doc.colour_points},
-        "cones": [{"rays": [list(r) for r in rays], "colours": list(cols)}
-                  for rays, cols in doc.cones],
+        "group": {"components": [{"family": f, "rank": r} for f, r in pairs],
+                  "torus_rank": torus_rank},
+        "parabolic": [n for n in nodes if n in parabolic_set],
+        "lattice_rank": lattice_rank,
+        "colour_points": colour_points,
+        "cones": cones,
     }
 
 
@@ -203,40 +176,34 @@ def canonical_json(obj, _newline: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + _newline + brackets[1]
 
 
-def render(doc: FanDocument) -> str:
-    """Canonical JSON text; parse(render(doc)) == doc."""
-    return canonical_json(to_mapping(doc)) + "\n"
-
-
-def build(doc: FanDocument) -> tuple[dk.DynkinData, ColouredLattice, ColouredFan]:
-    """Construct and validate the diagram, lattice and fan of a document."""
-    pairs = [(c.family, c.rank) for c in doc.components]
+def build(doc: dict) -> tuple[dk.DynkinData, ColouredLattice, ColouredFan]:
+    """Construct and validate the diagram, lattice and fan of a parsed document."""
+    group = doc["group"]
+    pairs = [(c["family"], c["rank"]) for c in group["components"]]
     specs = [(*pair, prefix) for pair, prefix in zip(pairs, dk.component_prefixes(pairs))]
-    diagram = dk.standard_diagram(specs, doc.torus_rank, doc.parabolic)
-    lattice_ = ColouredLattice(
-        doc.lattice_rank,
-        tuple(name for name, _ in doc.colour_points),
-        tuple(p for _, p in doc.colour_points))
-    members = [ColouredCone(pc.cone_from_generators(rays, doc.lattice_rank),
-                            frozenset(cols)) for rays, cols in doc.cones]
+    diagram = dk.standard_diagram(specs, group["torus_rank"], doc["parabolic"])
+    rank = doc["lattice_rank"]
+    colours = diagram.colours
+    lattice_ = ColouredLattice(rank, colours,
+                               tuple(doc["colour_points"][a] for a in colours))
+    members = [ColouredCone(pc.cone_from_generators(c["rays"], rank), c["colours"])
+               for c in doc["cones"]]
     return diagram, lattice_, validate_fan(lattice_, members)
 
 
-def document_for_fan(doc: FanDocument, fan: ColouredFan) -> FanDocument:
-    """A document describing `fan` with the group data of `doc`.
+def document_for_fan(doc: dict, fan: ColouredFan) -> dict:
+    """The document of `fan` with the group data of `doc`, as `parse` returns it.
 
     Used to re-emit the results of `decolour` and `split` in a form the
     tool accepts back.  Only the maximal cones are listed.
     """
     L = fan.lattice
-    cones = tuple(
-        (m.cone.rays, tuple(sorted(m.colours, key=L.colour_order)))
-        for m in fan.maximal_cones())
-    return FanDocument(
-        components=doc.components,
-        torus_rank=doc.torus_rank,
-        parabolic=doc.parabolic,
-        lattice_rank=L.rank,
-        colour_points=tuple((a, L.xi(a)) for a in L.colours),
-        cones=cones,
-    )
+    return {
+        "group": doc["group"],
+        "parabolic": doc["parabolic"],
+        "lattice_rank": L.rank,
+        "colour_points": {a: list(p) for a, p in zip(L.colours, L.colour_points)},
+        "cones": [{"rays": [list(r) for r in m.cone.rays],
+                   "colours": sorted(m.colours, key=L.colour_order)}
+                  for m in fan.maximal_cones()],
+    }

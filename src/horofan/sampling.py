@@ -79,17 +79,6 @@ def arrangement_cells(rng: random.Random, rank: int,
     return cells
 
 
-def random_fan_cones(rng: random.Random, rank: int, n_hyperplanes: int = 3,
-                     max_cells: int | None = None,
-                     complete: bool = False) -> list[pc.Cone]:
-    cells = arrangement_cells(rng, rank, n_hyperplanes)
-    if complete:
-        return cells
-    k = rng.randint(1, len(cells)) if max_cells is None \
-        else rng.randint(1, min(max_cells, len(cells)))
-    return rng.sample(cells, k)
-
-
 def _point_inside(rng: random.Random, cone: pc.Cone) -> Vec | None:
     for _ in range(8):
         coeffs = [rng.randint(0, 2) for _ in cone.rays]
@@ -113,7 +102,10 @@ def random_coloured_fan(rng: random.Random, diagram: dk.DynkinData, rank: int,
     zero or outside every cone.  Cones carry every colour whose point they
     contain, the canonical consistent colouring.
     """
-    cells = random_fan_cones(rng, rank, n_hyperplanes, max_cells, complete)
+    cells = arrangement_cells(rng, rank, n_hyperplanes)
+    if not complete:
+        top = len(cells) if max_cells is None else min(max_cells, len(cells))
+        cells = rng.sample(cells, rng.randint(1, top))
     points = []
     for _ in diagram.colours:
         p = None

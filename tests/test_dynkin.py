@@ -368,8 +368,9 @@ def test_chain_walk_must_visit_every_node():
 MOVED_TO_ORACLES = ("TypeLabel", "validate_diagram", "components", "_template",
                     "component_labels", "recognize_type")
 # second copies of a rule that `classify_cone`, `fans._inherit` and
-# `simplicial_multiset` keep
-DELETED = ("coloured_face", "is_simplicial", "is_regular", "coloured_rays")
+# `simplicial_multiset` keep; a second form of a parsed document
+DELETED = ("coloured_face", "is_simplicial", "is_regular", "coloured_rays",
+           "FanDocument", "GroupComponent", "to_mapping", "render")
 
 
 def test_public_api():

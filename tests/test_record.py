@@ -25,9 +25,8 @@ GOLDENS = pathlib.Path(__file__).parent.parent / "goldens"
 RECORD_TYPES = [
     cones.Cone, fans.ColouredLattice, fans.ColouredCone, fans.ColouredFan,
     cl.ConeClassification, cl.Verdict, dynkin.DynkinEdge, dynkin.DynkinData,
-    oracles.TypeLabel, docmod.GroupComponent, docmod.FanDocument,
-    cox.TorusSplit, cox.CoxData, cox.CoxConsistency, lattice.FGAbelianGroup,
-    local.LocalModel,
+    oracles.TypeLabel, cox.TorusSplit, cox.CoxData, cox.CoxConsistency,
+    lattice.FGAbelianGroup, local.LocalModel,
 ]
 
 
@@ -43,15 +42,14 @@ A2_COLOUR_IN_QUADRANT = """{
 
 def _samples(text: str) -> dict[type, object]:
     """One record of every type, from the fan document `text`."""
-    doc = docmod.parse(text)
-    diagram, L, fan = docmod.build(doc)
+    diagram, L, fan = docmod.build(docmod.parse(text))
     data = cox.cox_construct(fan)
     first = next(iter(oracles.components(diagram)))
     verdict = cl.classify(fan, diagram)
     found = [
         fan.cones[-1].cone, L, fan.cones[-1], fan, verdict.cones[-1], verdict,
         diagram.edges[0], diagram, oracles.recognize_type(diagram, first),
-        doc.components[0], doc, cox.torus_split(fan), data,
+        cox.torus_split(fan), data,
         cox.cox_consistency(fan, diagram), data.class_group,
         local.affine_local(fan.cones[-1], L, diagram),
     ]
@@ -72,7 +70,7 @@ def _twin(cls):
 
 
 def test_every_type_is_sampled_twice_and_differs():
-    assert len(set(RECORD_TYPES)) == 16
+    assert len(set(RECORD_TYPES)) == 14
     for cls in RECORD_TYPES:
         a, b = (s[cls] for s in SAMPLES)
         assert type(a) is type(b) is cls
