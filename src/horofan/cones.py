@@ -160,15 +160,6 @@ def faces(c: Cone) -> tuple[Cone, ...]:
     return tuple(sorted(out, key=lambda f: (f.dim, f.rays)))
 
 
-def is_face_of(t: Cone, c: Cone) -> bool:
-    """True iff t is a face of c (compared as ray sets)."""
-    if t.ambient_rank != c.ambient_rank:
-        raise DimensionMismatch("cones in different ambient lattices")
-    if not set(t.rays) <= set(c.rays):
-        return False
-    return t in faces(c)
-
-
 def extreme_rays(rows, k: int, eqs=()) -> tuple[dict[Vec, int], list[Vec]]:
     """(rays, lin) with {x in R^k : row @ x >= 0 for all rows, e @ x == 0
     for all e in eqs} equal to cone(rays) + span(lin).  rays maps each
@@ -230,19 +221,21 @@ def extreme_rays(rows, k: int, eqs=()) -> tuple[dict[Vec, int], list[Vec]]:
 
 @lru_cache(maxsize=None)
 def intersect(a: Cone, b: Cone) -> Cone:
-    """The cone a ∩ b, from one double description in ambient coordinates:
-    the equations of a and b enter as equalities, not as opposite row
-    pairs, and both cones' normals are its rows.  a is pointed, so no
-    lineality is left.  The normals vanishing on all its rays are
-    equations, and each maximal zero set of the others over the rays is a
-    facet."""
+    """The cone a ∩ b.  When one ray set holds the other, that cone: a cone
+    spanned by some of b's rays lies in b.  Otherwise one double
+    description in ambient coordinates: the equations of a and b enter as
+    equalities, not as opposite row pairs, and both cones' normals are its
+    rows.  a is pointed, so no lineality is left.  The normals vanishing on
+    all its rays are equations, and each maximal zero set of the others
+    over the rays is a facet."""
     if a.ambient_rank != b.ambient_rank:
         raise DimensionMismatch("cones in different ambient lattices")
     n = a.ambient_rank
-    if a == b:
+    ra, rb = set(a.rays), set(b.rays)
+    if ra <= rb:
         return a
-    if not a.rays or not b.rays:
-        return zero_cone(n)
+    if rb <= ra:
+        return b
 
     eqs = a.equations + b.equations
     normals = a.facet_normals + b.facet_normals

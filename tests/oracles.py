@@ -14,6 +14,10 @@ the vivid condition.  Here `component_labels` recognizes every
 finite-type numbering by searching along edges; it is the oracle of that
 walk and of `standard_diagram`, and the permutation search is its oracle.
 `face_colours_oracle` decides the face rule with Caratheodory membership;
+`pair_check_oracle` validates a fan by checking every pair, each
+intersected by a full double description and `is_face_of` deciding faces
+by the cones `faces` lists: the oracle of the wall test and of the nested
+and ray-set shortcuts in `validate_fan`;
 `cox_lift_oracle` is the Cox lift by cone containment and full fan
 validation, the oracle of the lift that picks generators by ray set.
 `snf_diagonal` and `linearly_independent` are no oracles: they read the
@@ -31,7 +35,8 @@ from horofan import cones as pc
 from horofan import dynkin as dk
 from horofan.dynkin import FAMILIES, _STANDARD_RANKS, DynkinData, DynkinEdge, \
     _adjacency, _reachable, connected_component, standard_component
-from horofan.errors import BadParabolic, UnknownDiagram, UnknownNode, \
+from horofan.errors import BadParabolic, DimensionMismatch, \
+    InconsistentColours, OverlappingCones, UnknownDiagram, UnknownNode, \
     ValidationError
 from horofan.fans import ColouredCone, ColouredFan, ColouredLattice, validate_fan
 from horofan.lattice import Mat, Vec, dot, identity, rank_of, smith_normal_form
@@ -477,7 +482,17 @@ def example_A_rule(n: int, parabolic_indices: set[int], i: int) -> bool:
     return not (i - 1 in parabolic_indices and i + 1 in parabolic_indices)
 
 
-# --- coloured faces and the Cox lift ---------------------------------------
+# --- faces, the pair check and the Cox lift --------------------------------
+
+def is_face_of(t: pc.Cone, c: pc.Cone) -> bool:
+    """True iff t is a face of c: t's rays are among c's and t is one of
+    the cones `faces(c)` lists."""
+    if t.ambient_rank != c.ambient_rank:
+        raise DimensionMismatch("cones in different ambient lattices")
+    if not set(t.rays) <= set(c.rays):
+        return False
+    return t in pc.faces(c)
+
 
 def face_colours_oracle(sc: ColouredCone, t: pc.Cone, L: ColouredLattice
                         ) -> ColouredCone:
@@ -485,6 +500,37 @@ def face_colours_oracle(sc: ColouredCone, t: pc.Cone, L: ColouredLattice
     membership decided by `member_oracle` on t's rays."""
     return ColouredCone(t, frozenset(a for a in sc.colours
                                      if member_oracle(list(t.rays), L.xi(a))))
+
+
+def intersect_oracle(a: pc.Cone, b: pc.Cone) -> pc.Cone:
+    """a ∩ b by a full double description of both cones' inequalities and
+    equations, with no shortcut for nested cones; a is pointed, so no
+    lineality is left."""
+    k = a.ambient_rank
+    rays, _ = pc.extreme_rays(a.facet_normals + b.facet_normals, k,
+                              a.equations + b.equations)
+    return pc.cone_from_generators(rays, k)
+
+
+def pair_check_oracle(L: ColouredLattice, coloured_cones
+                      ) -> frozenset[ColouredCone]:
+    """The members of the fan the coloured cones generate, checking every
+    pair: OverlappingCones unless each pair meets (`intersect_oracle`) in a
+    face of both (`is_face_of`), InconsistentColours when one face gets two
+    colour sets (`face_colours_oracle`)."""
+    inputs = list(dict.fromkeys(coloured_cones))
+    for a, b in combinations(inputs, 2):
+        t = intersect_oracle(a.cone, b.cone)
+        if not (is_face_of(t, a.cone) and is_face_of(t, b.cone)):
+            raise OverlappingCones(f"{a.cone} and {b.cone} meet in {t}")
+    origin = pc.zero_cone(L.rank)
+    members = {origin: ColouredCone(origin, frozenset())}
+    for sc in inputs:
+        for t in pc.faces(sc.cone):
+            cf = face_colours_oracle(sc, t, L)
+            if members.setdefault(t, cf).colours != cf.colours:
+                raise InconsistentColours(f"{t} carries two colour sets")
+    return frozenset(members.values())
 
 
 def cox_lift_oracle(fan: ColouredFan) -> ColouredFan:

@@ -10,8 +10,8 @@ from horofan import lattice
 from horofan.errors import DimensionMismatch, NotStronglyConvex, ZeroVector
 from horofan.lattice import rank_of
 
-from oracles import (extreme_rays_oracle, faces3d_oracle, member_oracle,
-                     relint_oracle)
+from oracles import (extreme_rays_oracle, faces3d_oracle, is_face_of,
+                     member_oracle, relint_oracle)
 
 
 def test_primitive():
@@ -76,10 +76,10 @@ def test_faces_counts():
 
 def test_is_face_of():
     c = pc.cone_from_generators([(1, 0), (0, 1)], 2)
-    assert pc.is_face_of(pc.cone_from_generators([(1, 0)], 2), c)
-    assert pc.is_face_of(pc.zero_cone(2), c)
-    assert pc.is_face_of(c, c)
-    assert not pc.is_face_of(pc.cone_from_generators([(1, 1)], 2), c)
+    assert is_face_of(pc.cone_from_generators([(1, 0)], 2), c)
+    assert is_face_of(pc.zero_cone(2), c)
+    assert is_face_of(c, c)
+    assert not is_face_of(pc.cone_from_generators([(1, 1)], 2), c)
 
 
 def test_intersections():
@@ -397,6 +397,28 @@ def test_work_counts_of_intersect_and_contains(monkeypatch):
     assert calls["smith_normal_form"] == 0 and calls["_bareiss"] == 0
 
 
+def test_intersect_of_nested_cones_runs_no_double_description(monkeypatch):
+    # a cone spanned by some of another's rays lies in it: the smaller one
+    # is the intersection, in either order, with no conversion
+    c = pc.cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
+    # d lies in c, but (1, 1, 1) is no ray of c: one conversion
+    d = pc.cone_from_generators([(1, 0, 0), (1, 1, 1)], 3)
+    conversions = []
+    extreme_rays = pc.extreme_rays
+
+    def recorded(rows, k, eqs=()):
+        conversions.append(len(rows))
+        return extreme_rays(rows, k, eqs)
+    monkeypatch.setattr(pc, "extreme_rays", recorded)
+    pc.intersect.cache_clear()
+    for f in pc.faces(c):
+        for g in pc.faces(f):
+            assert pc.intersect(f, g) == g and pc.intersect(g, f) == g
+    assert conversions == []
+    assert pc.intersect(c, d) == d
+    assert len(conversions) == 1
+
+
 def test_faces_closed_under_intersection():
     c = pc.cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
     fs = pc.faces(c)
@@ -408,7 +430,7 @@ def test_face_transitivity():
     c = pc.cone_from_generators([(1, 0, 0), (1, 2, 0), (1, 1, 3)], 3)
     for f in pc.faces(c):
         for g in pc.faces(f):
-            assert pc.is_face_of(g, c)
+            assert is_face_of(g, c)
 
 
 @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),

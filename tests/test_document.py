@@ -123,21 +123,39 @@ def test_duplicate_component_prefixes():
     assert lattice_.colours == ("A1_2.1",)
 
 
+def _every_colour_on_one_ray(components: int) -> str:
+    """A document of A64 components whose colours all lie on one ray."""
+    nodes = dk.node_names([("A", 64)] * components)
+    return json.dumps({
+        "group": {"components": [{"family": "A", "rank": 64}] * components,
+                  "torus_rank": 0},
+        "parabolic": [], "lattice_rank": 1,
+        "colour_points": {a: [1] for a in nodes},
+        "cones": [{"rays": [[1]], "colours": nodes}]})
+
+
 def test_parse_time_is_linear_in_the_colours():
     # colour names are checked against a set: 800 A64 components, 51,200
     # colours each named once in colour_points and once on a cone, parse in
     # a fraction of a second; checked against the list, the time grew with
     # the square of the colours
-    nodes = dk.node_names([("A", 64)] * 800)
-    text = json.dumps({
-        "group": {"components": [{"family": "A", "rank": 64}] * 800, "torus_rank": 0},
-        "parabolic": [], "lattice_rank": 1,
-        "colour_points": {a: [1] for a in nodes},
-        "cones": [{"rays": [[1]], "colours": nodes}]})
+    text = _every_colour_on_one_ray(800)
     start = time.perf_counter()
     d = doc.parse(text)
     assert time.perf_counter() - start < 5
     assert len(d["colour_points"]) == len(d["cones"][0]["colours"]) == 51200
+
+
+def test_build_and_classify_time_is_linear_in_the_colours():
+    # a lattice looks colours up in one map: 400 A64 components, 25,600
+    # colours on one ray, build and classify in a fraction of a second;
+    # with a search of the colour tuple per lookup they took 30 s (2-core VM)
+    d = doc.parse(_every_colour_on_one_ray(400))
+    start = time.perf_counter()
+    diagram, _, fan = doc.build(d)
+    cl.classify(fan, diagram)
+    assert time.perf_counter() - start < 5
+    assert len(fan.cones[-1].colours) == 25600
 
 
 def test_build_classifies_golden():

@@ -1,17 +1,24 @@
+import pathlib
 import random
+import time
 
 import pytest
 
 from horofan import cones as pc
 from horofan import cox
+from horofan import document as doc
+from horofan import lattice
 from horofan.classification import simplicial_multiset
 from horofan import fans as F
 from horofan import sampling as S
 from horofan.local import decolour
 from horofan.errors import (ColourPointOutsideCone, InconsistentColours,
-                            OverlappingCones, UnknownColour, ZeroColourPoint)
+                            NotStronglyConvex, OverlappingCones,
+                            UnknownColour, ZeroColourPoint)
 
-from oracles import face_colours_oracle
+from oracles import face_colours_oracle, is_face_of, pair_check_oracle
+
+GOLDENS = pathlib.Path(__file__).parent.parent / "goldens"
 
 
 def plain(gens, rank=2):
@@ -105,7 +112,7 @@ def test_coloured_face_rule():
 def test_coloured_face_requires_a_face():
     sc = F.ColouredCone(pc.cone_from_generators([(1, 0), (0, 1)], 2),
                         frozenset({"a"}))
-    assert not pc.is_face_of(pc.cone_from_generators([(1, 1)], 2), sc.cone)
+    assert not is_face_of(pc.cone_from_generators([(1, 1)], 2), sc.cone)
 
 
 def test_coloured_rays_partition():
@@ -188,6 +195,130 @@ def test_maximal_cones_are_no_proper_faces():
         if i % 3 == 0:
             fan = S.embed_with_torus_factor(rng, fan, 1)
         by_faces = tuple(m for m in fan.cones
-                         if not any(o.cone != m.cone and pc.is_face_of(m.cone, o.cone)
+                         if not any(o.cone != m.cone and is_face_of(m.cone, o.cone)
                                     for o in fan.cones))
         assert fan.maximal_cones() == by_faces
+
+
+def test_maximal_cones_time_is_linear_in_the_members():
+    # every face of the orthant of rank 15, 32,768 members under one
+    # maximal cone: tested against the maximal ray sets found so far, they
+    # take a tenth of a second; tested against every other member, 25 s
+    # (2-core VM)
+    n = 15
+    e = lattice.identity(n)
+    members = []
+    for mask in range(1 << n):
+        on = [i for i in range(n) if mask >> i & 1]
+        rays = tuple(sorted(e[i] for i in on))
+        off = tuple(e[i] for i in range(n) if i not in on)
+        members.append(F.ColouredCone(pc.Cone(n, rays, rays, len(on), off),
+                                      frozenset()))
+    fan = F.ColouredFan(F.ColouredLattice(n, (), ()), members)
+    start = time.perf_counter()
+    assert [m.cone.rays for m in fan.maximal_cones()] == [tuple(sorted(e))]
+    assert time.perf_counter() - start < 5
+
+
+def _canonical(L, cone):
+    """The cone with every colour whose point lies on it, as the sampler
+    colours its cells."""
+    return F.ColouredCone(cone, frozenset(
+        a for a in L.colours
+        if any(L.xi(a)) and pc.contains(cone, L.xi(a)) != pc.OUTSIDE))
+
+
+def _collections(rng):
+    """Seeded inputs for validate_fan: the maximal cones of a sampled fan,
+    complete or not, and collections that are no fan or that colour one
+    cone twice."""
+    rank = rng.randint(1, 4)
+    fan = S.random_coloured_fan(rng, S.random_diagram(rng), rank,
+                                n_hyperplanes=rng.randint(1, 3 if rank == 4 else 4),
+                                complete=rng.random() < 0.5)
+    L = fan.lattice
+    top = list(fan.maximal_cones())
+    yield "sampled", L, top
+    cells = [_canonical(L, c) for c in S.arrangement_cells(rng, rank, rng.randint(1, 3))]
+    yield "stacked", L, top + cells  # a second arrangement over the first
+    a = rng.choice(top).cone
+    for b in top:
+        if b.cone != a and pc.intersect(a, b.cone).dim == rank - 1:  # a neighbour
+            try:
+                union = pc.cone_from_generators(a.rays + b.cone.rays, rank)
+            except NotStronglyConvex:
+                break
+            yield "union", L, top + [_canonical(L, union)]
+            break
+    i = rng.randrange(len(top))
+    T = S.random_unimodular(rng, rank)
+    moved = pc.cone_from_generators([lattice.vec_mat(r, T) for r in top[i].cone.rays], rank)
+    yield "moved", L, top[:i] + [_canonical(L, moved)] + top[i + 1:]
+    sc = rng.choice(top)
+    face = pc.cone_from_generators(rng.choice(pc.faces(sc.cone)).rays, rank)
+    inherited = _canonical(L, face).colours & sc.colours
+    kept = frozenset(rng.sample(sorted(inherited), rng.randint(0, len(inherited))))
+    yield "face", L, top + [F.ColouredCone(face, kept)]
+    if sc.colours:  # one colour dropped from a maximal cone
+        gone = rng.choice(sorted(sc.colours))
+        yield "recoloured", L, [F.ColouredCone(m.cone, m.colours - {gone})
+                                if m == sc else m for m in top]
+
+
+def _outcome(check, L, coloured_cones):
+    try:
+        return frozenset(check(L, coloured_cones))
+    except (OverlappingCones, InconsistentColours) as exc:
+        return type(exc)
+
+
+def test_validate_fan_agrees_with_the_pair_check_oracle():
+    # the wall test for complete fans, the nested and ray-set shortcuts
+    # otherwise: every collection gets the oracle's members or its error
+    rng = random.Random(2026)
+    seen = set()
+    for _ in range(60):
+        for kind, L, cones in _collections(rng):
+            rng.shuffle(cones)
+            want = _outcome(pair_check_oracle, L, cones)
+            got = _outcome(lambda L, cs: F.validate_fan(L, cs).cones, L, cones)
+            assert got == want, kind
+            seen.add(want if isinstance(want, type) else "fan")
+    assert seen == {"fan", OverlappingCones, InconsistentColours}
+
+
+def test_walls_need_opposite_sides_and_a_point_covered_once():
+    # every wall of these lies in exactly two cones, so only the side test
+    # or the interior point tells them from a complete fan
+    star = [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)]
+    twice_around = [plain([star[i], star[(i + 1) % 5]]) for i in range(5)]
+    L = F.ColouredLattice(2, ("a",), ((0, -1),))
+    below = pc.cone_from_generators([(-1, -2), (1, -2)], 2)
+    quadrants = [plain([(1, 0), (0, 1)]), plain([(0, 1), (-1, 0)]),
+                 plain([(-1, 0), (0, -1)]), plain([(0, -1), (1, 0)])]
+    below_twice = quadrants + [F.ColouredCone(below, {"a"}),
+                               F.ColouredCone(below, frozenset())]
+    for lattice_, cones in ((TORIC2, twice_around), (L, below_twice)):
+        with pytest.raises(OverlappingCones):
+            pair_check_oracle(lattice_, cones)
+        with pytest.raises(OverlappingCones):
+            F.validate_fan(lattice_, cones)
+
+
+def test_complete_fans_are_validated_by_their_walls(monkeypatch):
+    # machine-independent: a complete document or sampled complete fan is
+    # validated with no intersect call; a fan that is not complete checks
+    # its pairs
+    calls = []
+    intersect = pc.intersect
+    monkeypatch.setattr(pc, "intersect", lambda a, b: calls.append(1) or intersect(a, b))
+    for name in ("p2.json", "p112.json"):
+        doc.build(doc.parse((GOLDENS / name).read_text()))
+    rng = random.Random(5)
+    for _ in range(10):
+        fan = S.random_coloured_fan(rng, S.random_diagram(rng), rng.randint(1, 4),
+                                    n_hyperplanes=rng.randint(1, 3), complete=True)
+        assert F.validate_fan(fan.lattice, fan.maximal_cones()) == fan
+    assert calls == []
+    F.validate_fan(TORIC2, [plain([(1, 0), (0, 1)]), plain([(0, 1), (-1, 0)])])
+    assert len(calls) == 1
