@@ -10,8 +10,10 @@ cone caches (`cones.faces`, `cones.intersect`, the only caches in `src/`)
 are cleared before each document, as the benchmark's per-document forks
 start empty, and a `split` document feeds the commands after it.  Prints,
 for one pass: the calls of `cones.extreme_rays` with the inequality rows
-and equalities fed to them, the uncached `cones.intersect` calls, and the
-calls of `lattice.smith_normal_form` and `lattice._bareiss`; then the
+and equalities fed to them, the calls of `cones.cone_from_generators`
+(building a document and mapping a fan; the Cox lift writes its cones
+down), the uncached `cones.intersect` calls, and the calls of
+`lattice.smith_normal_form` and `lattice._bareiss`; then the
 modules that `import horofan.cli` adds to a fresh interpreter (a
 subprocess importing the same `horofan`), which every command loads
 before its first op.  The counts do not depend on the machine.
@@ -39,12 +41,14 @@ def counting(counts: Counter) -> None:
         return extreme_rays(rows, k, eqs)
     cones.extreme_rays = counted_extreme_rays
 
-    for name, key in (("smith_normal_form", "SNF calls"),
-                      ("_bareiss", "_bareiss calls")):
-        def counted(*args, fn=getattr(lattice, name), key=key, **kwargs):
+    for module, name, key in ((cones, "cone_from_generators",
+                               "cone_from_generators calls"),
+                              (lattice, "smith_normal_form", "SNF calls"),
+                              (lattice, "_bareiss", "_bareiss calls")):
+        def counted(*args, fn=getattr(module, name), key=key, **kwargs):
             counts[key] += 1
             return fn(*args, **kwargs)
-        setattr(lattice, name, counted)
+        setattr(module, name, counted)
 
 
 def run_op(text: str, command: str) -> dict:
@@ -98,7 +102,8 @@ def main() -> int:
             counts["intersect uncached"] += cones.intersect.cache_info().misses
     print(f"ops per pass: {ops}")
     for key in ("extreme_rays calls", "extreme_rays rows", "extreme_rays eqs",
-                "intersect uncached", "SNF calls", "_bareiss calls"):
+                "cone_from_generators calls", "intersect uncached", "SNF calls",
+                "_bareiss calls"):
         print(f"{key}: {counts[key]}")
     modules = cli_modules()
     own = sum(m.split(".")[0] == "horofan" for m in modules)

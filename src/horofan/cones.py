@@ -6,8 +6,9 @@ normals and equations (linear forms vanishing exactly on its span):
     sigma = {x : <n, x> >= 0 for every normal n, <e, x> == 0 for every e}
 
 All arithmetic is integral, with no SNF and no change of basis.  One double
-description, `extreme_rays`, started from R^k, returns extreme rays with
-bitmasks of the rows vanishing on them, and a lineality basis.  On the dual
+description, `extreme_rays`, returns extreme rays with bitmasks of the rows
+vanishing on them, and a lineality basis; it eliminates its equalities in
+one step and starts from the subspace they cut out.  On the dual
 system {y : <y, g> >= 0} it yields the facet normals and, as its lineality,
 the equations; the masks tell which generators are extreme and whether the
 cone holds a line.  `intersect` runs it once on both cones' normals, with
@@ -21,6 +22,7 @@ equality is equality of ray sets; normals and equations are not canonical.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from math import gcd, lcm
 from operator import and_
 
 from . import lattice
@@ -70,7 +72,9 @@ def zero_cone(ambient_rank: int) -> Cone:
 def primitive(v) -> Vec:
     """v divided by the (positive) gcd of its entries; direction preserved."""
     v = lattice.freeze_vector(v)
-    g = lattice.vector_gcd(v)
+    g = gcd(*v)
+    if g == 1:
+        return v
     if g == 0:
         raise ZeroVector("the zero vector has no primitive generator")
     return tuple(x // g for x in v)
@@ -160,6 +164,33 @@ def faces(c: Cone) -> tuple[Cone, ...]:
     return tuple(sorted(out, key=lambda f: (f.dim, f.rays)))
 
 
+def _equality_basis(eqs, k: int) -> list[Vec]:
+    """A primitive basis of {x in R^k : e @ x == 0 for all e in eqs}, by one
+    fraction-free Gauss-Jordan elimination of the distinct equalities that
+    keeps each row primitive.  Each row has a pivot column where the others
+    vanish, so a free column f gives l at f and -row[f] * l / row[p] at each
+    pivot p, l the lcm of those row[p].  With no equalities, the identity."""
+    done: dict[int, Vec] = {}  # pivot column -> row
+    for e in dict.fromkeys(eqs):
+        for p, row in done.items():
+            if e[p]:
+                e = [row[p] * x - e[p] * y for x, y in zip(e, row)]
+        if any(e):  # not zero, nor a combination of the rows before it
+            e = primitive(e)
+            q = next(j for j, x in enumerate(e) if x)
+            done = {p: primitive([e[q] * x - row[q] * y for x, y in zip(row, e)])
+                    if row[q] else row for p, row in done.items()}
+            done[q] = e
+    basis = []
+    for f in range(k):
+        if f not in done:
+            l = lcm(*(row[p] for p, row in done.items() if row[f]))
+            v = [-done[j][f] * l // done[j][j] if j in done else 0 for j in range(k)]
+            v[f] = l
+            basis.append(primitive(v))
+    return basis
+
+
 def extreme_rays(rows, k: int, eqs=()) -> tuple[dict[Vec, int], list[Vec]]:
     """(rays, lin) with {x in R^k : row @ x >= 0 for all rows, e @ x == 0
     for all e in eqs} equal to cone(rays) + span(lin).  rays maps each
@@ -167,25 +198,24 @@ def extreme_rays(rows, k: int, eqs=()) -> tuple[dict[Vec, int], list[Vec]]:
     the positions in rows (not eqs) vanishing on it; lin is a primitive
     basis of {x : row @ x == 0 for all rows and eqs}.
 
-    Incremental double description (Fukuda & Prodon 1996) from R^k: the rows
-    so far vanish on lin.  A row nonzero on lin makes one p in lin, oriented
-    to pair positively with it, a ray, and moves the rest along p onto its
-    hyperplane; an equality, taken before the first row, does the same but
-    drops p, so span(lin) is then the subspace of dimension dim that eqs
-    cut out.  Any other row keeps the rays it does not cut and combines
-    each adjacent positive/negative pair: rp, rm are adjacent iff z =
-    mask(rp) & mask(rm) has at least dim - len(lin) - 2 bits and no third
-    ray's mask contains z (the smallest face holding both).  Zero and
-    repeated rows only set bits, and redundant equalities do nothing.
-    On the generators of a cone it returns the facet normals and a basis of
-    the forms vanishing on the span.
+    Incremental double description (Fukuda & Prodon 1996).  The equalities
+    are eliminated in one step (`_equality_basis`): lin starts as a basis
+    of the subspace of dimension dim that they cut out, R^k without them,
+    and the rows so far vanish on lin.  A row nonzero on lin makes one p in
+    lin, oriented to pair positively with it, a ray, and moves the rest
+    along p onto its hyperplane.  Any other row keeps the rays it does not
+    cut and combines each adjacent positive/negative pair: rp, rm are
+    adjacent iff z = mask(rp) & mask(rm) has at least dim - len(lin) - 2
+    bits and no third ray's mask contains z (the smallest face holding
+    both).  Zero and repeated rows only set bits.  On the generators of a
+    cone it returns the facet normals and a basis of the forms vanishing
+    on the span.
     """
-    lin = list(lattice.identity(k))
+    lin = _equality_basis(eqs, k)
+    dim = len(lin)
     zs: dict[Vec, int] = {}
-    for i, m in enumerate([*eqs, *rows], -len(eqs)):
-        if i == 0:
-            dim = len(lin)  # of the subspace the equalities cut out
-        bit = 1 << i if i >= 0 else 0
+    for i, m in enumerate(rows):
+        bit = 1 << i
         vals = {r: dot(m, r) for r in zs}
         on_lin = [dot(m, v) for v in lin]
         if any(on_lin):
@@ -197,10 +227,9 @@ def extreme_rays(rows, k: int, eqs=()) -> tuple[dict[Vec, int], list[Vec]]:
             # v already on it stays as it is
             lin = [primitive([a * y - x * q for y, q in zip(v, p)]) if x else v
                    for v, x in zip(lin, on_lin)]
-            if i >= 0:  # an equality leaves p out; there are no rays yet
-                zs = {(primitive([a * y - vals[r] * q for y, q in zip(r, p)])
-                       if vals[r] else r): z | bit for r, z in zs.items()}
-                zs[p] = bit - 1  # p lies on every earlier row
+            zs = {(primitive([a * y - vals[r] * q for y, q in zip(r, p)])
+                   if vals[r] else r): z | bit for r, z in zs.items()}
+            zs[p] = bit - 1  # p lies on every earlier row
             continue
         plus = [r for r in zs if vals[r] > 0]
         minus = [r for r in zs if vals[r] < 0]

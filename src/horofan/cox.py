@@ -6,7 +6,8 @@ matrix mu sending each basis vector to its point downstairs, the lifted
 coloured fan (one cone per input cone, spanned by the basis vectors of its
 colours and of the non-coloured rays in its ray set: a fan ray inside a
 member is a face of it), the divisor class group as the cokernel of mu^T,
-and the rank of the quotient torus.
+and the rank of the quotient torus.  Lifted cones are coordinate cones,
+built with no double description, and the lifted fan is still validated.
 
 Torus factors are split off first: the fan is re-expressed on the saturated
 sublattice spanned by all ray generators and all colour points, and the
@@ -71,7 +72,9 @@ def has_torus_factors(fan: ColouredFan) -> bool:
 
 
 def cox_construct(fan: ColouredFan) -> CoxData:
-    """The Cox data of a fan without torus factors."""
+    """The Cox data of a fan without torus factors.  Each lifted member is
+    built directly as cone(e_S): its rays and facet normals are e_S, its
+    equations the other e_j; `validate_fan` still checks them."""
     if has_torus_factors(fan):
         raise HasTorusFactors(
             "the fan has torus factors; apply torus_split and construct on "
@@ -90,9 +93,12 @@ def cox_construct(fan: ColouredFan) -> CoxData:
 
     lifted = []
     for sc in fan.cones:
-        gens = [basis[a] for a in sc.colours]
-        gens += [basis[r] for r in sc.cone.rays if r in basis]
-        lifted.append(ColouredCone(pc.cone_from_generators(gens, n_hat), sc.colours))
+        gens = {basis[a] for a in sc.colours}
+        gens.update(basis[r] for r in sc.cone.rays if r in basis)
+        rays = tuple(sorted(gens))
+        cone = pc.Cone(n_hat, rays, rays, len(rays),
+                       tuple(v for v in e if v not in gens))
+        lifted.append(ColouredCone(cone, sc.colours))
     cox_fan = validate_fan(hat_lattice, lifted)
 
     class_group = lattice.cokernel_structure(columns)  # columns is mu^T

@@ -11,7 +11,6 @@ deliberately no modular or sparse acceleration.
 
 from __future__ import annotations
 
-from math import gcd
 from operator import mul
 
 from .errors import DimensionMismatch
@@ -247,13 +246,6 @@ def span_coordinates(vs, ncols: int) -> tuple[Mat, Mat]:
             raise AssertionError("vector not in the saturated span")
         coords.append(full[:rank])
     return basis, tuple(coords)
-
-
-def vector_gcd(v: Vec) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
 
 
 class FGAbelianGroup(Record):

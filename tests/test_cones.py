@@ -259,6 +259,108 @@ def test_extreme_rays_with_equalities_match_row_pairs(system):
     assert rank_of(lin) == rank_of(old_lin) == rank_of(lin + old_lin)
 
 
+@given(_systems_with_equalities())
+@settings(max_examples=1000, deadline=None)
+@seed(47)
+def test_extreme_rays_with_equalities_match_row_pairs_modulo_lin(system):
+    # each ray is one representative modulo span(lin), and the equality
+    # start and the row-pair start may pick different bases of that span:
+    # the masks agree, and each ray agrees exactly when lin is empty and
+    # otherwise up to a vector of span(lin), on the same side of every row
+    rows, k, eqs = system
+    got, lin = pc.extreme_rays(rows, k, eqs)
+    pairs = _row_pairs(eqs)
+    old, old_lin = pc.extreme_rays(pairs + rows, k)
+    want = {z >> len(pairs): r for r, z in old.items()}
+    assert rank_of(lin) == rank_of(old_lin) == rank_of(lin + old_lin)
+    assert sorted(got.values()) == sorted(want)
+    for r, z in got.items():
+        s = want[z]
+        assert r == s if not lin else rank_of(lin + [r, s]) == len(lin) + 1
+        assert all((lattice.dot(row, r) > 0) == (lattice.dot(row, s) > 0)
+                   for row in rows)
+
+
+def _row_pairs(eqs):
+    return [r for e in eqs for r in (e, tuple(-x for x in e))]
+
+
+def _assert_masks(got, rows):
+    for r, mask in got.items():
+        assert mask == sum(1 << i for i, row in enumerate(rows)
+                           if lattice.dot(row, r) == 0)
+
+
+def test_equalities_match_the_row_pair_oracle():
+    # rows of rank k keep the cone pointed, so its rays are canonical; the
+    # oracle takes each equality as the rows e and -e and runs no double
+    # description.  Half the equalities vanish on (1, ..., 1), which the
+    # rows, oriented towards it, keep inside the cone
+    rng = random.Random(83)
+    for _ in range(80):
+        k = rng.randint(2, 5)
+        while True:
+            rows = [tuple(rng.randint(-3, 3) for _ in range(k))
+                    for _ in range(rng.randint(k, k + 2))]
+            if rank_of(rows) == k:
+                break
+        rows = [r if sum(r) >= 0 else tuple(-x for x in r) for r in rows]
+        eqs = []
+        for _ in range(rng.randint(0, 3)):
+            e = [rng.randint(-3, 3) for _ in range(k)]
+            if rng.random() < 0.5:
+                e[-1] -= sum(e)
+            eqs.append(tuple(e))
+        got, lin = pc.extreme_rays(rows, k, eqs)
+        assert lin == []
+        assert sorted(got) == extreme_rays_oracle(rows + _row_pairs(eqs), k)
+        _assert_masks(got, rows)
+        # callers may pass generators; each is read once
+        assert pc.extreme_rays(iter(rows), k, (e for e in eqs)) == (got, lin)
+
+
+def test_equalities_repeated_zero_or_of_full_rank():
+    # the orthant of R^3 cut by x == y, given three times and with a zero
+    rows = list(lattice.identity(3))
+    eqs = [(1, -1, 0), (0, 0, 0), (1, -1, 0), (2, -2, 0)]
+    got = pc.extreme_rays(rows, 3, eqs)
+    assert got == ({(1, 1, 0): 0b100, (0, 0, 1): 0b011}, [])
+    assert sorted(got[0]) == extreme_rays_oracle(rows + _row_pairs(eqs), 3)
+    # equalities of rank k leave the origin only: no rays, empty lin
+    full = [(1, 0, 0), (0, 1, 1), (0, 1, -1), (1, 1, 1)]
+    assert pc.extreme_rays(rows, 3, full) == ({}, [])
+    assert pc.extreme_rays((), 3, full) == ({}, [])
+    # with no rows, lin is a basis of the equalities' kernel
+    assert pc.extreme_rays((), 3, [(1, 1, 1), (2, 2, 2)]) == (
+        {}, [(-1, 1, 0), (-1, 0, 1)])
+
+
+def test_equalities_with_large_entries_in_rank_8():
+    # {x >= 0, x0 == x1, x2 == x3} in R^8 has the six rays e0 + e1, e2 + e3
+    # and e4..e7.  In the coordinates y with x == V @ y, V = L @ U a product
+    # of unit triangular matrices with entries up to 10^9, the rows are the
+    # rows of V (entries near 10^18), the equalities their differences, and
+    # V maps each ray of the new cone onto a ray of the old one
+    rng = random.Random(97)
+    n = 8
+    L = [[rng.randint(-10 ** 9, 10 ** 9) if j < i else int(i == j) for j in range(n)]
+         for i in range(n)]
+    U = [[rng.randint(-10 ** 9, 10 ** 9) if j > i else int(i == j) for j in range(n)]
+         for i in range(n)]
+    V = [tuple(sum(L[i][t] * U[t][j] for t in range(n)) for j in range(n))
+         for i in range(n)]
+    assert max(abs(x) for row in V for x in row) > 10 ** 17
+    eqs = [tuple(a - b for a, b in zip(V[0], V[1])),
+           tuple(a - b for a, b in zip(V[2], V[3]))]
+    got, lin = pc.extreme_rays(V, n, eqs)
+    assert lin == []
+    images = sorted(tuple(lattice.dot(row, y) for row in V) for y in got)
+    e = lattice.identity(n)
+    assert images == sorted([tuple(a + b for a, b in zip(e[0], e[1])),
+                             tuple(a + b for a, b in zip(e[2], e[3])), *e[4:]])
+    _assert_masks(got, V)
+
+
 def test_intersect_of_cones_in_one_plane():
     # both cones span the plane y == z; the ray (1, 1, 1) of a ∩ b is lost
     # if the adjacency prefilter counts the dimension of R^3, not of the plane

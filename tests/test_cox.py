@@ -231,3 +231,40 @@ def test_lift_matches_the_containment_oracle():
         assert [(m.cone.rays, m.colours) for m in lifted.cones] == \
             [(m.cone.rays, m.colours) for m in want.cones]
     assert torus_factors >= 20
+
+
+def test_lifted_members_are_the_cones_of_their_generators(monkeypatch):
+    # the lift writes each member down as a coordinate cone; it must be the
+    # cone that the double description builds from the same basis vectors,
+    # with the same faces (each derived from its own normals) and the same
+    # membership answers
+    build = pc.cone_from_generators
+    calls = []
+    monkeypatch.setattr(pc, "cone_from_generators",
+                        lambda *args: calls.append(args) or build(*args))
+    rng = random.Random(73)
+    torus_factors = 0
+    for i in range(40):
+        d = S.random_diagram(rng)
+        fan = S.random_coloured_fan(rng, d, rng.randint(1, 3),
+                                    n_hyperplanes=rng.randint(1, 3),
+                                    max_cells=3, complete=i % 4 == 0)
+        if i % 2:
+            fan = S.embed_with_torus_factor(rng, fan, rng.randint(1, 2))
+        split = cox.torus_split(fan)
+        torus_factors += split.quotient_rank > 0
+        calls.clear()
+        data = cox.cox_construct(split.restricted_fan)
+        assert calls == []
+        n_hat = data.n_hat_rank
+        points = list(lat.identity(n_hat))
+        for m in data.cox_fan.cones:
+            c = m.cone
+            want = build(c.rays, n_hat)
+            assert (c.rays, c.dim) == (want.rays, want.dim)
+            assert [f.rays for f in pc.faces.__wrapped__(c)] == \
+                [f.rays for f in pc.faces.__wrapped__(want)]
+            total = tuple(sum(r[j] for r in c.rays) for j in range(n_hat))
+            for p in points + [total]:
+                assert pc.contains(c, p) == pc.contains(want, p)
+    assert torus_factors >= 20
