@@ -12,8 +12,8 @@ start empty, and a `split` document feeds the commands after it.  Prints,
 for one pass: the calls of `cones.extreme_rays` with the inequality rows
 and equalities fed to them, the calls of `cones.cone_from_generators`
 (building a document and mapping a fan; the Cox lift writes its cones
-down), the uncached `cones.intersect` calls, and the calls of
-`lattice.smith_normal_form` and `lattice._bareiss`; then the
+down), the uncached `cones.faces` and `cones.intersect` calls, and the
+calls of `lattice.smith_normal_form` and `lattice._bareiss`; then the
 modules that `import horofan.cli` adds to a fresh interpreter (a
 subprocess importing the same `horofan`), which every command loads
 before its first op.  The counts do not depend on the machine.
@@ -99,10 +99,12 @@ def main() -> int:
                 if command.split(" ")[0] == "split":
                     text = json.dumps(report["document"], sort_keys=True)
                 ops += 1
+            counts["faces uncached"] += cones.faces.cache_info().misses
             counts["intersect uncached"] += cones.intersect.cache_info().misses
     print(f"ops per pass: {ops}")
     for key in ("extreme_rays calls", "extreme_rays rows", "extreme_rays eqs",
-                "cone_from_generators calls", "intersect uncached", "SNF calls",
+                "cone_from_generators calls", "faces uncached",
+                "intersect uncached", "SNF calls",
                 "_bareiss calls"):
         print(f"{key}: {counts[key]}")
     modules = cli_modules()

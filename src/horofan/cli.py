@@ -36,35 +36,21 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_PRECONDITION = 4
 
+# the report names the flags of a cone and the global verdicts by their
+# fields, in field order; a verdict's first field holds the per-cone flags
+_FLAGS = ConeClassification.__slots__
+_VERDICTS = Verdict.__slots__[1:]
+
 
 def _cone_entry(fan: ColouredFan, index: int, flags: ConeClassification) -> dict:
-    m = fan.cones[index]
-    L = fan.lattice
-    return {
-        "index": index,
-        "rays": [list(r) for r in m.cone.rays],
-        "colours": sorted(m.colours, key=L.colour_order),
-        "simplicial": flags.simplicial,
-        "regular": flags.regular,
-        "vivid": flags.vivid,
-        "toroidal": flags.toroidal,
-    }
-
-
-def _verdict_entry(v: Verdict) -> dict:
-    return {
-        "q_factorial": v.q_factorial,
-        "factorial": v.factorial,
-        "smooth": v.smooth,
-        "quotient_singularities": v.quotient_singularities,
-        "toroidal": v.toroidal,
-    }
+    return {"index": index, **docmod.cone_entry(fan.cones[index], fan.lattice),
+            **{f: getattr(flags, f) for f in _FLAGS}}
 
 
 def _classified(fan: ColouredFan, diagram: dk.DynkinData) -> dict:
     v = classify(fan, diagram)
     return {
-        "verdict": _verdict_entry(v),
+        "verdict": {f: getattr(v, f) for f in _VERDICTS},
         "cones": [_cone_entry(fan, i, f) for i, f in enumerate(v.cones)],
     }
 
@@ -110,10 +96,7 @@ def run(doc: dict, command: str, *, cone_index: int | None = None,
         return {
             "command": "local",
             "cone_index": cone_index,
-            "cone": {
-                "rays": [list(r) for r in sc.cone.rays],
-                "colours": sorted(sc.colours, key=lattice_.colour_order),
-            },
+            "cone": docmod.cone_entry(sc, lattice_),
             "levi": {
                 "nodes": list(levi.nodes),
                 "edges": [[e.a, e.b, e.multiplicity, e.long] for e in levi.edges],
@@ -147,8 +130,7 @@ def run(doc: dict, command: str, *, cone_index: int | None = None,
 
 
 def _text_flags(entry: dict) -> str:
-    marks = [name for name in ("simplicial", "regular", "vivid", "toroidal")
-             if entry[name]]
+    marks = [f for f in _FLAGS if entry[f]]
     return ", ".join(marks) if marks else "none"
 
 
@@ -158,8 +140,7 @@ def render_text(report: dict) -> str:
     if "verdict" in report:
         v = report["verdict"]
         lines.append("verdict:")
-        for key in ("q_factorial", "factorial", "smooth",
-                    "quotient_singularities", "toroidal"):
+        for key in _VERDICTS:
             lines.append(f"  {key:<24}{'yes' if v[key] else 'no'}")
         lines.append("cones:")
         for e in report["cones"]:

@@ -85,7 +85,7 @@ def cox_construct(fan: ColouredFan) -> CoxData:
                  + [("ray", u) for u in fan.non_coloured_rays()])
     n_hat = len(tags)
     columns = [L.xi(value) if kind == "colour" else value for kind, value in tags]
-    mu = tuple(tuple(col[i] for col in columns) for i in range(L.rank))
+    mu = lattice.transpose(columns, L.rank)
 
     e = lattice.identity(n_hat)
     hat_lattice = ColouredLattice(n_hat, L.colours, e[:len(L.colours)])

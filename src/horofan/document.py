@@ -191,6 +191,13 @@ def build(doc: dict) -> tuple[dk.DynkinData, ColouredLattice, ColouredFan]:
     return diagram, lattice_, validate_fan(lattice_, members)
 
 
+def cone_entry(sc: ColouredCone, L: ColouredLattice) -> dict:
+    """A coloured cone as a document lists it: its rays, and its colours in
+    diagram order."""
+    return {"rays": [list(r) for r in sc.cone.rays],
+            "colours": sorted(sc.colours, key=L.colour_order)}
+
+
 def document_for_fan(doc: dict, fan: ColouredFan) -> dict:
     """The document of `fan` with the group data of `doc`, as `parse` returns it.
 
@@ -203,7 +210,5 @@ def document_for_fan(doc: dict, fan: ColouredFan) -> dict:
         "parabolic": doc["parabolic"],
         "lattice_rank": L.rank,
         "colour_points": {a: list(p) for a, p in zip(L.colours, L.colour_points)},
-        "cones": [{"rays": [list(r) for r in m.cone.rays],
-                   "colours": sorted(m.colours, key=L.colour_order)}
-                  for m in fan.maximal_cones()],
+        "cones": [cone_entry(m, L) for m in fan.maximal_cones()],
     }

@@ -90,23 +90,17 @@ class ColouredCone(Record):
         object.__setattr__(self, "colours", frozenset(self.colours))
 
 
-def _sort_key(L: ColouredLattice):
-    def key(sc: ColouredCone):
-        return (sc.cone.dim, sc.cone.rays,
-                tuple(sorted(L.colour_order(a) for a in sc.colours)))
-    return key
-
-
 class ColouredFan(Record):
-    """Trusts its members to form a fan; sorts them by (dim, rays, colour
-    order), the order `local --cone INDEX` numbers."""
+    """Trusts its members to form a fan, so no two members share a cone;
+    sorts them by their cone, (dim, rays), the order `local --cone INDEX`
+    numbers."""
 
     lattice: ColouredLattice
     cones: tuple[ColouredCone, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cones",
-                           tuple(sorted(self.cones, key=_sort_key(self.lattice))))
+        object.__setattr__(self, "cones", tuple(sorted(
+            self.cones, key=lambda sc: (sc.cone.dim, sc.cone.rays))))
 
     def maximal_cones(self) -> tuple[ColouredCone, ...]:
         """Members whose ray set is no proper subset of another member's,

@@ -13,7 +13,7 @@ the class body defines itself is kept.
 The standard-library data classes are deliberately not used: importing
 that module loads eleven more stdlib modules (`inspect`, `ast`, `dis`,
 `tokenize`, ...), and with building the value types (sixteen then,
-fourteen now) it took about 25 ms of a 110-135 ms cold start of `horofan`
+thirteen now) it took about 25 ms of a 110-135 ms cold start of `horofan`
 on a 2-core VM, where a whole `classify` takes 2-5 ms.  Here a class
 costs one `exec` of its generated methods, and `__init__` fills the slots
 through their descriptors, faster than `object.__setattr__`.

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, seed, settings
@@ -552,6 +553,26 @@ def test_cyclic_cone_faces():
     c = pc.cone_from_generators([[t ** i for i in range(6)] for t in range(10)], 6)
     assert len(c.rays) == 10
     assert len(pc.faces(c)) == 304
+
+
+def _cyclic_face_count(r, n):
+    """The faces of the cone over the cyclic (r-1)-polytope with n vertices,
+    the zero cone and the cone itself included.  The polytope is simplicial
+    and neighbourly, so with d = r - 1 its h-vector is h_i = C(n-d-1+i, i)
+    for i <= d/2, mirrored above (Ziegler, Lectures on Polytopes, 8.3 and
+    8.4); its faces of every dimension below d, the empty one included,
+    number sum_i h_i 2^(d-i), and the polytope itself is one more."""
+    d = r - 1
+    h = [comb(n - d - 1 + i, i) for i in range(d // 2 + 1)]
+    h += h[:(d + 1) // 2][::-1]
+    return sum(hi << (d - i) for i, hi in enumerate(h)) + 1
+
+
+@pytest.mark.parametrize("r, n", [(3, 7), (4, 8), (5, 9), (6, 10), (5, 14), (8, 12)])
+def test_cyclic_cone_face_count_is_the_h_vector_closed_form(r, n):
+    c = pc.cone_from_generators([[t ** i for i in range(r)] for t in range(n)], r)
+    assert len(c.rays) == n
+    assert len(pc.faces(c)) == _cyclic_face_count(r, n)
 
 
 def test_extreme_rays_of_halfspaces():

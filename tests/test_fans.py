@@ -322,3 +322,65 @@ def test_complete_fans_are_validated_by_their_walls(monkeypatch):
     assert calls == []
     F.validate_fan(TORIC2, [plain([(1, 0), (0, 1)]), plain([(0, 1), (-1, 0)])])
     assert len(calls) == 1
+
+
+def _member_images(rng, fan):
+    """The fan, its decolour, torus_split and transform_fan images, and the
+    Cox lift of its split fan."""
+    colours = fan.lattice.colours
+    split = cox.torus_split(fan).restricted_fan
+    T = S.random_unimodular(rng, fan.lattice.rank)
+    return (fan, decolour(fan, rng.sample(colours, rng.randint(0, len(colours)))),
+            split, S.transform_fan(fan, T), cox.cox_construct(split).cox_fan)
+
+
+def test_members_are_distinct_cones_so_colours_never_order_them():
+    # ColouredFan sorts its members by their cone alone: no two members of
+    # a fan or of its images share a ray set, so the colour order that
+    # once broke ties never decides
+    rng = random.Random(2318)
+    fans = [doc.build(doc.parse(p.read_text()))[2] for p in sorted(GOLDENS.glob("*.json"))]
+    for i in range(40):
+        fan = S.random_coloured_fan(rng, S.random_diagram(rng), rng.randint(1, 3),
+                                    n_hyperplanes=rng.randint(1, 3), max_cells=3,
+                                    complete=i % 2 == 0)
+        if i % 3 == 0:
+            fan = S.embed_with_torus_factor(rng, fan, rng.randint(1, 2))
+        fans.append(fan)
+    for fan in fans:
+        for image in _member_images(rng, fan):
+            L = image.lattice
+            members = list(image.cones)
+            assert len({frozenset(m.cone.rays) for m in members}) == len(members)
+            assert members == sorted(members, key=lambda m: (m.cone.dim, m.cone.rays))
+            assert members == sorted(members, key=lambda m: (
+                m.cone.dim, m.cone.rays, sorted(map(L.colour_order, m.colours))))
+
+
+def _euler(cones):
+    return sum((-1) ** c.dim for c in cones)
+
+
+def test_faces_of_each_nonzero_member_have_euler_characteristic_zero():
+    # Euler-Poincare on the face lattice of a nonzero pointed cone, the
+    # zero cone included (Ziegler, Lectures on Polytopes, 8.1)
+    rng = random.Random(1501)
+    for i in range(30):
+        fan = S.random_coloured_fan(rng, S.random_diagram(rng), rng.randint(1, 4),
+                                    n_hyperplanes=rng.randint(1, 3),
+                                    complete=i % 2 == 0)
+        for m in fan.cones:
+            if m.cone.dim:
+                assert _euler(pc.faces(m.cone)) == 0
+
+
+def test_members_of_a_complete_fan_have_the_euler_characteristic_of_a_sphere():
+    # the members of a complete fan of rank d, the origin included, give
+    # sum_j (-1)^j f_j = (-1)^d
+    rng = random.Random(1502)
+    for _ in range(12):
+        rank = rng.randint(1, 4)
+        fan = S.random_coloured_fan(rng, S.random_diagram(rng), rank,
+                                    n_hyperplanes=rank + rng.randint(0, 2),
+                                    complete=True)
+        assert _euler(m.cone for m in fan.cones) == (-1) ** rank

@@ -27,7 +27,8 @@ def test_work_counts_runs_on_an_inputs_file(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert "ops per pass: 5" in lines
-    for key in ("extreme_rays calls", "cone_from_generators calls", "SNF calls"):
+    for key in ("extreme_rays calls", "cone_from_generators calls",
+                "faces uncached", "SNF calls"):
         assert any(line.startswith(f"{key}: ") and int(line.split(": ")[1]) > 0
                    for line in lines), key
 
