@@ -57,6 +57,14 @@ def simplicial_multiset(sc: ColouredCone, L: ColouredLattice) -> tuple[Vec, ...]
     return tuple(sorted(points))
 
 
+def check_colour_sets(L: ColouredLattice, d: DynkinData) -> None:
+    """The lattice and the diagram must name the same colours."""
+    if set(L.colours) != set(d.colours):
+        raise ColourSetMismatch(
+            f"lattice colours {sorted(L.colours)} do not match the "
+            f"diagram colour set {sorted(d.colours)}")
+
+
 def is_vivid(sc: ColouredCone, L: ColouredLattice, d: DynkinData) -> bool:
     """True iff every colour of the cone passes the diagram condition."""
     return all(dynkin.vivid_colour_ok(d, sc.colours, a) for a in sc.colours)
@@ -80,10 +88,7 @@ def classify_cone(sc: ColouredCone, L: ColouredLattice, d: DynkinData
 
 def classify(fan: ColouredFan, d: DynkinData) -> Verdict:
     """Per-cone flags and the global verdicts for a coloured fan."""
-    if set(fan.lattice.colours) != set(d.colours):
-        raise ColourSetMismatch(
-            f"lattice colours {sorted(fan.lattice.colours)} do not match the "
-            f"diagram colour set {sorted(d.colours)}")
+    check_colour_sets(fan.lattice, d)
     per_cone = tuple(classify_cone(sc, fan.lattice, d) for sc in fan.cones)
     q_factorial = all(c.simplicial for c in per_cone)
     factorial = all(c.regular for c in per_cone)

@@ -16,7 +16,7 @@ nothing.  Standard diagrams number their nodes in the Bourbaki convention:
 * F_4   a1 - a2 => a3 - a4 (a2 long)
 * G_2   a1 <= a2 triple edge (a1 short)
 
-No type is recognized here, and nothing is cached.  The colour
+No type is recognized here; the neighbour map is built once.  The colour
 condition's clause (2) is one walk from the colour alpha through the
 parabolic nodes it reaches, which must form with alpha an A_n or C_n chain
 numbered from alpha.  The rank-2 double-edge diagram is B2 and C2 at once;
@@ -29,7 +29,7 @@ from collections import deque
 
 from .errors import (BadParabolic, UnknownColour, UnknownDiagram, UnknownNode,
                      ValidationError)
-from .record import Record
+from .record import Lookup, Record
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -44,13 +44,17 @@ class DynkinEdge(Record):
         return frozenset((self.a, self.b))
 
 
-class DynkinData(Record):
-    """Decorated graph of simple roots plus a parabolic subset."""
+class DynkinData(Lookup, Record):
+    """Decorated graph of simple roots plus a parabolic subset; looks a
+    node's neighbours up in one map, built once."""
 
     nodes: tuple[str, ...]
     edges: tuple[DynkinEdge, ...]
     torus_rank: int = 0
     parabolic: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lookup", _adjacency(self))
 
     @property
     def colours(self) -> tuple[str, ...]:
@@ -66,9 +70,9 @@ def _adjacency(d: DynkinData) -> dict[str, dict[str, DynkinEdge]]:
     return adj
 
 
-def _reachable(d: DynkinData, start: str, allowed: frozenset[str]) -> frozenset[str]:
-    """start and the nodes of `allowed` reachable from it through `allowed`."""
-    adj = _adjacency(d)
+def _reachable(d: DynkinData, start: str, allowed) -> frozenset[str]:
+    """start and the nodes in `allowed` reachable from it through `allowed`."""
+    adj = d._lookup
     seen = {start}
     queue = deque([start])
     while queue:
@@ -82,9 +86,9 @@ def _reachable(d: DynkinData, start: str, allowed: frozenset[str]) -> frozenset[
 
 def connected_component(d: DynkinData, v: str) -> frozenset[str]:
     """Vertex set of v's connected component in the full diagram."""
-    if v not in d.nodes:
+    if v not in d._lookup:
         raise UnknownNode(f"unknown node {v!r}")
-    return _reachable(d, v, frozenset(d.nodes))
+    return _reachable(d, v, d._lookup)
 
 
 def vivid_colour_ok(d: DynkinData, F, alpha: str) -> bool:
@@ -94,15 +98,12 @@ def vivid_colour_ok(d: DynkinData, F, alpha: str) -> bool:
     (2) alpha touches at most one component I_alpha of the parabolic set,
         and if it touches one then I_alpha together with alpha forms an A- or
         C-type chain in which alpha is the first simple root.
+
+    Only alpha is checked: the other colours of F entered with their cone.
     """
     F = frozenset(F)
-    colour_set = set(d.colours)
-    if alpha not in colour_set or alpha not in F:
+    if alpha not in d._lookup or alpha in d.parabolic or alpha not in F:
         raise UnknownColour(f"{alpha!r} is not a colour of this cone")
-    if not F <= colour_set:
-        raise UnknownColour(
-            f"colours outside the universal colour set: {sorted(F - colour_set)}")
-
     if connected_component(d, alpha) & F != {alpha}:
         return False
     # (2) over alpha and every parabolic component touching it: with none the
@@ -120,7 +121,7 @@ def _chain_from(d: DynkinData, alpha: str, nodes: frozenset[str]) -> bool:
     whether the walk visited all of `nodes`.  A walk of more than
     len(nodes) nodes has gone round a cycle.
     """
-    adj = _adjacency(d)
+    adj = d._lookup
     prev, v = None, alpha
     for visited in range(1, len(nodes) + 1):
         ahead = (adj[v].keys() & nodes) - {prev}

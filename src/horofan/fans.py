@@ -41,16 +41,10 @@ from .errors import (
     ZeroColourPoint,
 )
 from .lattice import Vec, dot, freeze_vector
-from .record import Record
+from .record import Lookup, Record
 
 
-class _ColourPositions:
-    """A slot beside a record's fields, which its equality, hash and repr
-    do not read."""
-    __slots__ = ("_position",)
-
-
-class ColouredLattice(_ColourPositions, Record):
+class ColouredLattice(Lookup, Record):
     """Looks a colour up in one map from colour to position, built once."""
 
     rank: int
@@ -66,7 +60,7 @@ class ColouredLattice(_ColourPositions, Record):
         position = {a: i for i, a in enumerate(self.colours)}
         if len(position) != len(self.colours):
             raise UnknownColour("duplicate colour identifiers")
-        object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_lookup", position)
         for p in self.colour_points:
             if len(p) != self.rank:
                 raise DimensionMismatch(
@@ -74,12 +68,12 @@ class ColouredLattice(_ColourPositions, Record):
 
     def xi(self, colour: str) -> Vec:
         try:
-            return self.colour_points[self._position[colour]]
+            return self.colour_points[self._lookup[colour]]
         except KeyError:
             raise UnknownColour(f"unknown colour {colour!r}") from None
 
     def colour_order(self, colour: str) -> int:
-        return self._position[colour]
+        return self._lookup[colour]
 
 
 class ColouredCone(Record):

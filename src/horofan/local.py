@@ -10,8 +10,9 @@ simplicial, less regular, or less vivid.
 
 from __future__ import annotations
 
+from .classification import check_colour_sets
 from .dynkin import DynkinData
-from .errors import ColourSetMismatch, UnknownColour
+from .errors import UnknownColour
 from .fans import ColouredCone, ColouredFan, ColouredLattice
 from .record import Record
 
@@ -31,14 +32,7 @@ def affine_local(sc: ColouredCone, L: ColouredLattice, d: DynkinData) -> LocalMo
     §11), so it is of finite type whenever `d` is; its nodes and edges are
     sorted subsequences of `d`'s, so it needs no checks and no recognition.
     """
-    if set(L.colours) != set(d.colours):
-        raise ColourSetMismatch(
-            f"lattice colours {sorted(L.colours)} do not match the diagram "
-            f"colour set {sorted(d.colours)}")
-    if not sc.colours <= set(L.colours):
-        raise ColourSetMismatch(
-            f"cone colours outside the lattice: {sorted(sc.colours - set(L.colours))}")
-
+    check_colour_sets(L, d)
     keep = set(d.parabolic) | sc.colours
     nodes = tuple(n for n in d.nodes if n in keep)
     edges = tuple(e for e in d.edges if e.a in keep and e.b in keep)

@@ -45,6 +45,12 @@ class _RecordType(type):
         return cls
 
 
+class Lookup:
+    """A slot beside a record's fields, which its equality, hash and repr
+    do not read: one lookup map, which `__post_init__` builds once."""
+    __slots__ = ("_lookup",)
+
+
 class Record(metaclass=_RecordType):
     def __repr__(self) -> str:
         values = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)

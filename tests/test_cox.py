@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -231,6 +232,28 @@ def test_lift_matches_the_containment_oracle():
         assert [(m.cone.rays, m.colours) for m in lifted.cones] == \
             [(m.cone.rays, m.colours) for m in want.cones]
     assert torus_factors >= 20
+
+
+def test_lifted_fan_has_one_member_per_subset_of_a_maximal_cone():
+    # a member's lift is the coordinate cone of its colours and non-coloured
+    # rays, S; a maximal cone's lift has a face for each subset of its S, and
+    # every member lies in a maximal cone, so the lifted fan has exactly
+    # |union of 2^S| members
+    rng = random.Random(1506)
+    for i in range(40):
+        fan = S.random_coloured_fan(rng, S.random_diagram(rng), rng.randint(1, 4),
+                                    n_hyperplanes=rng.randint(1, 3),
+                                    complete=i % 2 == 0)
+        fan = cox.torus_split(fan).restricted_fan
+        data = cox.cox_construct(fan)
+        uncoloured = set(fan.non_coloured_rays())
+        subsets = set()
+        for m in fan.maximal_cones():
+            s = m.colours | (set(m.cone.rays) & uncoloured)
+            subsets.update(frozenset(c) for k in range(len(s) + 1)
+                           for c in combinations(s, k))
+        assert len(data.cox_fan.cones) == len(subsets)
+        assert data.k_hat_rank == data.n_hat_rank - fan.lattice.rank
 
 
 def test_lifted_members_are_the_cones_of_their_generators(monkeypatch):

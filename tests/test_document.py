@@ -123,11 +123,11 @@ def test_duplicate_component_prefixes():
     assert lattice_.colours == ("A1_2.1",)
 
 
-def _every_colour_on_one_ray(components: int) -> str:
-    """A document of A64 components whose colours all lie on one ray."""
-    nodes = dk.node_names([("A", 64)] * components)
+def _every_colour_on_one_ray(components: int, rank: int = 64) -> str:
+    """A document of A_rank components whose colours all lie on one ray."""
+    nodes = dk.node_names([("A", rank)] * components)
     return json.dumps({
-        "group": {"components": [{"family": "A", "rank": 64}] * components,
+        "group": {"components": [{"family": "A", "rank": rank}] * components,
                   "torus_rank": 0},
         "parabolic": [], "lattice_rank": 1,
         "colour_points": {a: [1] for a in nodes},
@@ -156,6 +156,27 @@ def test_build_and_classify_time_is_linear_in_the_colours():
     cl.classify(fan, diagram)
     assert time.perf_counter() - start < 5
     assert len(fan.cones[-1].colours) == 25600
+
+
+def test_colour_condition_is_linear_in_the_colours():
+    # 25,600 A1 components, no parabolic nodes: every colour on the ray
+    # passes the diagram condition, so each is checked (above, the first A64
+    # colour fails and ends the check).  A diagram builds its neighbour map
+    # once and a colour's check reads only its own component; rebuilding the
+    # map and re-checking the cone's colour set per colour took 7.4 s
+    # (classify) and 7.2 s (local) at 4,000 colours (2-core VM), growing with
+    # the square
+    d = doc.parse(_every_colour_on_one_ray(25600, rank=1))
+    start = time.perf_counter()
+    diagram, _, fan = doc.build(d)
+    verdict = cl.classify(fan, diagram)
+    assert dk.is_projective_space_product(diagram)
+    assert time.perf_counter() - start < 5
+    assert verdict.cones[1].vivid and len(fan.cones[1].colours) == 25600
+    start = time.perf_counter()
+    report = cli.run(d, "local", cone_index=1)
+    assert time.perf_counter() - start < 5
+    assert report["vivid"] and len(report["restricted_colours"]) == 25600
 
 
 def test_build_classifies_golden():

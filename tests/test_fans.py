@@ -1,6 +1,7 @@
 import pathlib
 import random
 import time
+from math import comb
 
 import pytest
 
@@ -308,7 +309,8 @@ def test_walls_need_opposite_sides_and_a_point_covered_once():
 def test_complete_fans_are_validated_by_their_walls(monkeypatch):
     # machine-independent: a complete document or sampled complete fan is
     # validated with no intersect call; a fan that is not complete checks
-    # its pairs
+    # its pairs.  More hyperplanes than the rank give non-simplicial
+    # maximal cones, the case the proof of `_complete_by_walls` is for
     calls = []
     intersect = pc.intersect
     monkeypatch.setattr(pc, "intersect", lambda a, b: calls.append(1) or intersect(a, b))
@@ -319,6 +321,15 @@ def test_complete_fans_are_validated_by_their_walls(monkeypatch):
         fan = S.random_coloured_fan(rng, S.random_diagram(rng), rng.randint(1, 4),
                                     n_hyperplanes=rng.randint(1, 3), complete=True)
         assert F.validate_fan(fan.lattice, fan.maximal_cones()) == fan
+    rng = random.Random(1503)
+    non_simplicial = 0
+    for _ in range(10):
+        rank = rng.randint(1, 4)
+        fan = S.random_coloured_fan(rng, S.random_diagram(rng), rank,
+                                    n_hyperplanes=rank + rng.randint(0, 2), complete=True)
+        assert F.validate_fan(fan.lattice, fan.maximal_cones()) == fan
+        non_simplicial += sum(len(m.cone.rays) > rank for m in fan.maximal_cones())
+    assert non_simplicial > 0
     assert calls == []
     F.validate_fan(TORIC2, [plain([(1, 0), (0, 1)]), plain([(0, 1), (-1, 0)])])
     assert len(calls) == 1
@@ -384,3 +395,24 @@ def test_members_of_a_complete_fan_have_the_euler_characteristic_of_a_sphere():
                                     n_hyperplanes=rank + rng.randint(0, 2),
                                     complete=True)
         assert _euler(m.cone for m in fan.cones) == (-1) ** rank
+
+
+def test_complete_simplicial_fans_have_a_symmetric_h_vector():
+    # Dehn-Sommerville: with f_j members of dimension j, the h-vector
+    # h_k = sum_j (-1)^(k-j) C(d-j, k-j) f_j of a complete simplicial fan in
+    # rank d is symmetric (Ziegler, Lectures on Polytopes, 8.3)
+    rng = random.Random(1505)
+    simplicial = 0
+    for _ in range(16):
+        rank = rng.randint(1, 4)
+        fan = S.random_coloured_fan(rng, S.random_diagram(rng), rank,
+                                    n_hyperplanes=rank + rng.randint(0, 2),
+                                    complete=True)
+        if any(len(m.cone.rays) != m.cone.dim for m in fan.cones):
+            continue
+        f = [sum(m.cone.dim == j for m in fan.cones) for j in range(rank + 1)]
+        h = [sum((-1) ** (k - j) * comb(rank - j, k - j) * f[j] for j in range(k + 1))
+             for k in range(rank + 1)]
+        assert h == h[::-1], (f, h)
+        simplicial += 1
+    assert simplicial >= 10
