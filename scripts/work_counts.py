@@ -11,12 +11,12 @@ are cleared before each document, as the benchmark's per-document forks
 start empty, and a `split` document feeds the commands after it.  Prints,
 for one pass: the calls of `cones.extreme_rays` with the inequality rows
 and equalities fed to them, the calls of `cones.cone_from_generators`
-(building a document and mapping a fan; the Cox lift writes its cones
-down), the uncached `cones.faces` and `cones.intersect` calls, and the
-calls of `lattice.smith_normal_form` and `lattice._bareiss`; then the
-modules that `import horofan.cli` adds to a fresh interpreter (a
-subprocess importing the same `horofan`), which every command loads
-before its first op.  The counts do not depend on the machine.
+(one per document cone and one per maximal cone of a mapped fan; the Cox
+lift writes its cones down), the uncached `cones.faces` and
+`cones.intersect` calls, and the calls of `lattice.smith_normal_form` and
+`lattice._bareiss`; then the modules that `import horofan.cli` adds to a
+fresh interpreter (a subprocess importing the same `horofan`), which every
+command loads before its first op.  The counts do not depend on the machine.
 """
 
 import json

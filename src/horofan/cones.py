@@ -138,8 +138,6 @@ def faces(c: Cone) -> tuple[Cone, ...]:
     the facets containing it to the parent's equations.  Sorted by
     (dim, rays).
     """
-    if not c.rays:
-        return (c,)
     facets = {sum(1 << i for i, r in enumerate(c.rays) if dot(n, r) == 0): n
               for n in c.facet_normals}
     full = (1 << len(c.rays)) - 1

@@ -20,11 +20,11 @@ covered once.  Any other collection checks every pair: `intersect` gives
 the smaller cone of a nested pair without a double description, and the
 intersection must be among the faces of both, looked up by its rays in
 one face list per input, which the face closure reuses.
-Maps of a valid fan build their result member for member instead:
-`local.decolour` only shrinks colour sets, and `map_fan` (torus splitting,
-the sampling transforms) pushes members through an injective linear map,
-which keeps faces, intersections and colour incidences.  `ColouredFan`
-owns the canonical member order.
+Maps of a valid fan skip validation: `local.decolour` only shrinks colour
+sets and keeps each member's cone; `map_fan` (torus splitting, the sampling
+transforms) pushes the maximal cones through an injective linear map, which
+keeps faces and colour incidences, and reads every other member off their
+faces.  `ColouredFan` owns the canonical member order.
 """
 
 from __future__ import annotations
@@ -125,12 +125,14 @@ class ColouredFan(Record):
 
 
 def map_fan(fan: ColouredFan, rank: int, f) -> ColouredFan:
-    """The image of the fan under an injective linear map f into Z^rank."""
+    """The image under an injective linear map f into Z^rank keeping primitive
+    vectors primitive (else KeyError): faces of the maximal cones' images."""
     L = fan.lattice
     L2 = ColouredLattice(rank, L.colours, tuple(f(p) for p in L.colour_points))
-    return ColouredFan(L2, tuple(
-        ColouredCone(pc.cone_from_generators([f(r) for r in sc.cone.rays], rank),
-                     sc.colours) for sc in fan.cones))
+    image = {t.rays: t for sc in fan.maximal_cones() for t in pc.faces(
+        pc.cone_from_generators([f(r) for r in sc.cone.rays], rank))}
+    return ColouredFan(L2, tuple(ColouredCone(
+        image[tuple(sorted(map(f, sc.cone.rays)))], sc.colours) for sc in fan.cones))
 
 
 def _check_coloured_cone(sc: ColouredCone, L: ColouredLattice) -> None:

@@ -164,8 +164,9 @@ def _same_as_validated(fan):
 
 
 def test_maps_build_what_validation_builds():
-    # decolour, torus_split and the sampling transforms build their fans
-    # member for member without validate_fan; validating changes nothing
+    # decolour keeps each member's cone; torus_split and the sampling
+    # transforms map the maximal cones and read every other member off
+    # their faces; none calls validate_fan, and validating changes nothing
     rng = random.Random(2024)
     for i in range(30):
         d = S.random_diagram(rng)
@@ -181,6 +182,41 @@ def test_maps_build_what_validation_builds():
         T = S.random_unimodular(rng, fan.lattice.rank)
         _same_as_validated(S.transform_fan(fan, T))
         assert F.ColouredFan(fan.lattice, reversed(fan.cones)) == fan
+    # the sampled fans are pure; here the maximal cones differ in dimension
+    L = F.ColouredLattice(2, ("a",), ((-2, -2),))
+    fan = F.validate_fan(L, [plain([(1, 0), (0, 1)]), F.ColouredCone(
+        pc.cone_from_generators([(-1, -1)], 2), frozenset({"a"}))])
+    for _ in range(5):
+        embedded = _same_as_validated(
+            S.embed_with_torus_factor(rng, fan, rng.randint(1, 2)))
+        split = _same_as_validated(cox.torus_split(embedded).restricted_fan)
+        assert [m.cone.dim for m in split.cones] == [0, 1, 1, 1, 2]
+        T = S.random_unimodular(rng, embedded.lattice.rank)
+        _same_as_validated(S.transform_fan(embedded, T))
+
+
+def test_maps_convert_only_the_maximal_cones(monkeypatch):
+    build = pc.cone_from_generators
+    calls = []
+    monkeypatch.setattr(pc, "cone_from_generators",
+                        lambda *args: calls.append(args) or build(*args))
+    rng = random.Random(25)
+    for _ in range(20):
+        d = S.random_diagram(rng)
+        fan = S.random_coloured_fan(rng, d, rng.randint(1, 3),
+                                    n_hyperplanes=rng.randint(1, 3), max_cells=3)
+        fan = S.embed_with_torus_factor(rng, fan, rng.randint(1, 2))
+        T = S.random_unimodular(rng, fan.lattice.rank)
+        for mapped in (lambda: cox.torus_split(fan), lambda: S.transform_fan(fan, T)):
+            calls.clear()
+            mapped()
+            assert len(calls) == len(fan.maximal_cones())
+
+
+def test_a_map_that_breaks_primitivity_is_refused():
+    fan = F.validate_fan(TORIC2, [plain([(1, 0), (0, 1)])])
+    with pytest.raises(KeyError):
+        F.map_fan(fan, 2, lambda v: tuple(2 * x for x in v))
 
 
 def test_maximal_cones_are_no_proper_faces():
