@@ -51,6 +51,8 @@ def simplicial_multiset(sc: ColouredCone, L: ColouredLattice) -> tuple[Vec, ...]
     Colour points are taken with multiplicity: two colours sharing a point
     contribute it twice, which makes independence fail.
     """
+    if not sc.colours:
+        return sc.cone.rays  # sorted
     on_rays = {pc.primitive(L.xi(a)) for a in sc.colours}
     points = [r for r in sc.cone.rays if r not in on_rays]
     points += [L.xi(a) for a in sc.colours]

@@ -239,15 +239,22 @@ def main(argv=None) -> int:
 
     keep = [c for c in args.keep.split(",") if c] if args.command == "decolour" \
         else None
+    # parse held the input to the int-string limit (CPython 3.10.7 on), which
+    # a result may pass; 0 is no limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         report = run(doc, args.command,
                      cone_index=getattr(args, "cone", None), keep=keep)
+        out = render_machine(report) if args.format == "machine" else render_text(report)
     except PreconditionError as exc:
         return fail(exc, EXIT_PRECONDITION)
     except ValidationError as exc:
         return fail(exc, EXIT_VALIDATION)
-
-    out = render_machine(report) if args.format == "machine" else render_text(report)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     sys.stdout.write(out)
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from math import gcd, lcm
-from operator import and_
+from operator import and_, mul
 
 from . import lattice
 from .errors import DimensionMismatch, NotStronglyConvex, ZeroVector
@@ -70,11 +70,10 @@ def zero_cone(ambient_rank: int) -> Cone:
 
 
 def primitive(v) -> Vec:
-    """v divided by the (positive) gcd of its entries; direction preserved."""
-    v = lattice.freeze_vector(v)
+    """v divided by the (positive) gcd of its int entries; direction preserved."""
     g = gcd(*v)
     if g == 1:
-        return v
+        return tuple(v)
     if g == 0:
         raise ZeroVector("the zero vector has no primitive generator")
     return tuple(x // g for x in v)
@@ -138,7 +137,7 @@ def faces(c: Cone) -> tuple[Cone, ...]:
     the facets containing it to the parent's equations.  Sorted by
     (dim, rays).
     """
-    facets = {sum(1 << i for i, r in enumerate(c.rays) if dot(n, r) == 0): n
+    facets = {sum(1 << i for i, r in enumerate(c.rays) if not sum(map(mul, n, r))): n
               for n in c.facet_normals}
     full = (1 << len(c.rays)) - 1
     seen = {full}
@@ -151,14 +150,19 @@ def faces(c: Cone) -> tuple[Cone, ...]:
     dims: dict[int, int] = {}
     out = []
     for sel in sorted(seen, key=int.bit_count):  # subfaces first
-        below = {sel & m: n for m, n in facets.items() if sel & m != sel}
-        top = max((dims[t] for t in below), default=-1)
+        on, below = [], {}  # normals of the facets holding sel; one per face below
+        for m, n in facets.items():
+            t = sel & m
+            if t == sel:
+                on.append(n)
+            else:
+                below[t] = n
+        top = max(map(dims.__getitem__, below), default=-1)
         dims[sel] = top + 1
-        on = tuple(n for m, n in facets.items() if sel & m == sel)
         out.append(Cone(c.ambient_rank,
-                        tuple(r for i, r in enumerate(c.rays) if sel >> i & 1),
-                        tuple(sorted(n for t, n in below.items() if dims[t] == top)),
-                        top + 1, c.equations + on))
+                        tuple([r for i, r in enumerate(c.rays) if sel >> i & 1]),
+                        tuple(sorted([n for t, n in below.items() if dims[t] == top])),
+                        top + 1, c.equations + tuple(on)))
     return tuple(sorted(out, key=lambda f: (f.dim, f.rays)))
 
 
@@ -213,9 +217,11 @@ def extreme_rays(rows, k: int, eqs=()) -> tuple[dict[Vec, int], list[Vec]]:
     dim = len(lin)
     zs: dict[Vec, int] = {}
     for i, m in enumerate(rows):
+        if len(m) != k:
+            raise DimensionMismatch(f"row of length {len(m)} in ambient rank {k}")
         bit = 1 << i
-        vals = {r: dot(m, r) for r in zs}
-        on_lin = [dot(m, v) for v in lin]
+        vals = {r: sum(map(mul, m, r)) for r in zs}
+        on_lin = [sum(map(mul, m, v)) for v in lin]
         if any(on_lin):
             j = min((j for j, x in enumerate(on_lin) if x), key=lambda j: abs(on_lin[j]))
             a, p = on_lin.pop(j), lin.pop(j)

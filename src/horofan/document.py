@@ -148,32 +148,50 @@ def parse(text: str) -> dict:
 
 
 _LITERALS = {None: "null", True: "true", False: "false"}
+_JSON_TYPES = (str, int, list, tuple, dict)  # what a subclass encodes as
 
 
-def canonical_json(obj, _newline: str = "\n") -> str:
+def canonical_json(obj) -> str:
     """What `json.dumps(obj, sort_keys=True)` writes with an indent of 2, which
     CPython encodes in pure Python.  Takes str, int, bool, None, lists, tuples
-    and str-keyed dicts; anything else, a float too, is a TypeError."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or isinstance(obj, bool):
-        return _LITERALS[obj]
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = _newline + "  "
-    if isinstance(obj, (list, tuple)):
-        items = [int.__repr__(x) if type(x) is int else canonical_json(x, inner)
-                 for x in obj]  # most leaves are ints; `type` skips bools
-        brackets = "[]"
-    elif isinstance(obj, dict):  # a key that is not a str fails to encode
-        items = [encode_basestring_ascii(k) + ": " + canonical_json(obj[k], inner)
-                 for k in sorted(obj)]
-        brackets = "{}"
-    else:
-        raise TypeError(f"cannot encode {type(obj).__name__} as canonical JSON")
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + _newline + brackets[1]
+    and str-keyed dicts, subclasses as `json.dumps` takes them; anything else,
+    a float too, is a TypeError.  Each list of ints is encoded once per indent."""
+    int_lists: dict[tuple, str] = {}  # a fan's rays recur in its faces' entries
+
+    def encode(obj, newline: str) -> str:
+        kind = type(obj)
+        if kind is bool or obj is None:
+            return _LITERALS[obj]
+        if kind not in _JSON_TYPES:
+            kind = next((t for t in _JSON_TYPES if isinstance(obj, t)), kind)
+        if kind is str:
+            return encode_basestring_ascii(obj)
+        if kind is int:
+            return int.__repr__(obj)
+        inner = newline + "  "
+        if kind is list or kind is tuple:
+            # `type` skips bools; a list of lists or dicts fails at its head
+            if obj and type(obj[0]) is int and all(type(x) is int for x in obj):
+                key = (tuple(obj), inner)
+                if key not in int_lists:
+                    int_lists[key] = "[" + inner + ("," + inner).join(
+                        map(int.__repr__, obj)) + newline + "]"
+                return int_lists[key]
+            items = [encode(x, inner) for x in obj]
+            brackets = "[]"
+        elif kind is dict:  # a key that is not a str fails to encode
+            items = [encode_basestring_ascii(k) + ": " + (
+                int.__repr__(v) if type(v) is int else
+                _LITERALS[v] if type(v) is bool else encode(v, inner))
+                for k in sorted(obj) for v in (obj[k],)]
+            brackets = "{}"
+        else:
+            raise TypeError(f"cannot encode {type(obj).__name__} as canonical JSON")
+        if not items:
+            return brackets
+        return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+    return encode(obj, "\n")
 
 
 def build(doc: dict) -> tuple[dk.DynkinData, ColouredLattice, ColouredFan]:

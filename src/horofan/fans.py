@@ -81,7 +81,8 @@ class ColouredCone(Record):
     colours: frozenset[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "colours", frozenset(self.colours))
+        if type(self.colours) is not frozenset:
+            object.__setattr__(self, "colours", frozenset(self.colours))
 
 
 class ColouredFan(Record):
@@ -150,8 +151,8 @@ def _check_coloured_cone(sc: ColouredCone, L: ColouredLattice) -> None:
 
 def _inherit(sc: ColouredCone, t: pc.Cone, L: ColouredLattice) -> ColouredCone:
     """The face t of sc with the colours whose points lie on it."""
-    return ColouredCone(t, frozenset(a for a in sc.colours
-                                     if pc.contains(t, L.xi(a)) != pc.OUTSIDE))
+    return ColouredCone(t, sc.colours and frozenset(
+        a for a in sc.colours if pc.contains(t, L.xi(a)) != pc.OUTSIDE))
 
 
 def _complete_by_walls(cones: list[pc.Cone], rank: int) -> bool:
@@ -243,10 +244,8 @@ def validate_fan(L: ColouredLattice, coloured_cones) -> ColouredFan:
     for sc, fs in zip(inputs, cone_faces):
         for t in fs:
             cf = _inherit(sc, t, L)  # t is a face of sc.cone by construction
-            prev = members.get(t)
-            if prev is None:
-                members[t] = cf
-            elif prev.colours != cf.colours:
+            prev = members.setdefault(t, cf)
+            if prev.colours != cf.colours:
                 raise InconsistentColours(
                     f"cone with rays {t.rays} carries colour sets "
                     f"{sorted(prev.colours)} and {sorted(cf.colours)}")

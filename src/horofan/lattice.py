@@ -11,6 +11,7 @@ deliberately no modular or sparse acceleration.
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul
 
 from .errors import DimensionMismatch
@@ -200,25 +201,27 @@ def extends_to_Z_basis(vs, ambient_rank: int) -> bool:
 
     Column operations (Euclid) bring one row to a single entry, which must be
     +-1; that column is then dropped and the other rows must extend in turn.
+    The last row extends iff its entries are coprime.
     """
     rows = [list(map(int, v)) for v in vs]
     for v in rows:
         if len(v) != ambient_rank:
             raise DimensionMismatch(
                 f"vector of length {len(v)} in a rank-{ambient_rank} lattice")
-    while rows:
-        top = rows.pop()
+    while len(rows) > 1:
+        top = rows[-1]
         while len(nz := [j for j, x in enumerate(top) if x]) > 1:
             p = min(nz, key=lambda j: abs(top[j]))
             qs = [(j, top[j] // top[p]) for j in nz if j != p]
-            for r in rows + [top]:
+            for r in rows:
                 for j, q in qs:
                     r[j] -= q * r[p]
         if not nz or abs(top[nz[0]]) != 1:
             return False  # a dependent row ends as zero, a non-unit gcd stays
+        rows.pop()
         for r in rows:
             del r[nz[0]]
-    return True
+    return not rows or gcd(*rows[0]) == 1
 
 
 def span_coordinates(vs, ncols: int) -> tuple[Mat, Mat]:

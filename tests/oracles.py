@@ -2,15 +2,16 @@
 
 Each oracle deliberately avoids the code path it checks: cone membership
 uses Caratheodory subsets with exact rational solves, invariant factors use
-the gcd-of-minors formula, dim-3 facets use cross products, extreme rays of
-halfspace systems use every subset of k - 1 rows, and diagram
+the gcd-of-minors formula, dim-3 facets use cross products, faces in any
+rank use supporting hyperplanes through subsets of the generators, extreme
+rays of halfspace systems use every subset of k - 1 rows, and diagram
 recognition, down to the numbering, matches decorated graphs against
 `standard_component` by permutation search (the templates themselves are
-pinned by explicit-edge tests).  `_assemble` checks arbitrary nodes and
-edges, which the library never builds; it is the oracle of
-`standard_diagram`, which checks only what its caller chooses.  The
-library recognizes no type: it walks a chain from the colour to decide
-the vivid condition.  Here `component_labels` recognizes every
+checked against the Bourbaki plates, written out here with the Cartan
+determinants).  `_assemble` checks arbitrary nodes and edges, which the
+library never builds; it is the oracle of `standard_diagram`, which
+checks only what its caller chooses.  The library recognizes no type: it
+walks a chain from the colour to decide the vivid condition.  Here `component_labels` recognizes every
 finite-type numbering by searching along edges; it is the oracle of that
 walk and of `standard_diagram`, and the permutation search is its oracle.
 `face_colours_oracle` decides the face rule with Caratheodory membership;
@@ -115,6 +116,63 @@ def relint_oracle(gens: list[Vec], v: Vec) -> bool:
         den = den * x.denominator // __import__("math").gcd(den, x.denominator)
     target_int = tuple(int(x * den) for x in target)
     return member_oracle(gens, target_int)
+
+
+# --- faces by supporting hyperplanes, in any rank ---------------------------
+
+def rank_oracle(vs) -> int:
+    """The rank of the vectors, by elimination over the rationals."""
+    rows = [list(map(Fraction, v)) for v in vs]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def faces_oracle(gens: list[Vec]) -> set[tuple[frozenset[Vec], int]]:
+    """(extreme rays, dim) of every face of the pointed cone on gens, which
+    need not be full-dimensional.  In coordinates on d independent
+    generators, d the rank of gens, a facet is cut out by the hyperplane
+    through d - 1 generators, normal to their generalized cross product n,
+    when n has one sign on every generator.  The faces are the cone and the
+    intersections of facets, and the extreme rays are the faces of dim 1."""
+    from math import lcm
+
+    gens = sorted({_prim(g) for g in gens})
+    basis: list[Vec] = []
+    for g in gens:
+        if rank_oracle(basis + [g]) > len(basis):
+            basis.append(g)
+    d = len(basis)
+    coords = {}
+    for g in gens:  # scaled to integers, which keeps each sign
+        x = solve_rational(basis, g)
+        den = lcm(*(c.denominator for c in x))
+        coords[g] = tuple(int(c * den) for c in x)
+    facets = set()
+    for subset in combinations(gens, d - 1) if d else ():
+        rows = [coords[g] for g in subset]
+        n = tuple((-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(d))
+        side = {g: dot(n, coords[g]) for g in gens}
+        if any(n) and (min(side.values()) >= 0 or max(side.values()) <= 0):
+            facets.add(frozenset(g for g, x in side.items() if x == 0))
+    found = {frozenset(gens)}
+    todo = list(found)
+    while todo:
+        face = todo.pop()
+        new = {face & f for f in facets} - found
+        found |= new
+        todo += new
+    dims = {s: rank_oracle(sorted(s)) for s in found}
+    extreme = {g for s, k in dims.items() if k == 1 for g in s}
+    return {(s & extreme, k) for s, k in dims.items()}
 
 
 # --- dim-3 facet/face enumeration ------------------------------------------
@@ -231,6 +289,72 @@ def linearly_independent(vs) -> bool:
     """True iff the multiset is R-linearly independent (repeats always fail)."""
     vs = list(vs)
     return rank_of(vs) == len(vs)
+
+
+# --- the Bourbaki plates ----------------------------------------------------
+
+# Bourbaki, *Lie Groups and Lie Algebras*, Ch. IV-VI, Plates I-IX, written out
+# without `dynkin`: the edges (i, j, multiplicity, long root) of each
+# diagram, its nodes numbered 1..n as the plate numbers the simple roots.  A
+# series is its chain 1 - 2 - ... - (n - 1) and the plate's last edge; the
+# exceptional diagrams are listed.  D3 = A3 and B1 = C1 = A1 are named A.
+Plate = list[tuple[int, int, int, "int | None"]]
+
+
+def _chain(n: int) -> Plate:
+    return [(i, i + 1, 1, None) for i in range(1, n)]
+
+
+_E6 = [(1, 3, 1, None), (2, 4, 1, None), (3, 4, 1, None), (4, 5, 1, None),
+       (5, 6, 1, None)]
+BOURBAKI_PLATES = {
+    "A": lambda n: _chain(n) if n >= 1 else None,                         # I
+    "B": lambda n: _chain(n - 1) + [(n - 1, n, 2, n - 1)] if n >= 2 else None,  # II
+    "C": lambda n: _chain(n - 1) + [(n - 1, n, 2, n)] if n >= 2 else None,  # III
+    "D": lambda n: _chain(n - 1) + [(n - 2, n, 1, None)] if n >= 4 else None,  # IV
+    "E": {6: _E6,                                                          # V
+          7: _E6 + [(6, 7, 1, None)],                                      # VI
+          8: _E6 + [(6, 7, 1, None), (7, 8, 1, None)]}.get,                # VII
+    "F": {4: [(1, 2, 1, None), (2, 3, 2, 2), (3, 4, 1, None)]}.get,        # VIII
+    "G": {2: [(1, 2, 3, 2)]}.get,                                          # IX
+}
+
+# the determinant of the Cartan matrix, the index of the root lattice in the
+# weight lattice (Plates I-IX, item VIII)
+CARTAN_DETERMINANTS = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2,
+                       "D": lambda n: 4, "E": {6: 3, 7: 2, 8: 1}.get,
+                       "F": lambda n: 1, "G": lambda n: 1}
+
+
+def cartan_matrix(n: int, plate: Plate) -> list[list[int]]:
+    """2 on the diagonal; -1 both ways along a single edge; along an edge of
+    multiplicity m, -m in the short root's row and -1 in the long root's."""
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j, m, long in plate:
+        a[i - 1][j - 1] = a[j - 1][i - 1] = -1
+        if m > 1:
+            short = j if long == i else i
+            a[short - 1][long - 1] = -m
+    return a
+
+
+def determinant(rows) -> Fraction:
+    """By Gaussian elimination over the rationals, skipping zero entries."""
+    a = [list(map(Fraction, row)) for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            if a[r][c]:
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
 
 
 # --- dynkin template matching ----------------------------------------------

@@ -354,20 +354,55 @@ def test_rank8_cyclic_cone_classifies():
     # the ROADMAP's rank-8 scale: one cyclic cone, rays (1, t, ..., t^7)
     # for t = 0..n-1; every face but the cone itself is simplicial
     for n, n_cones in ((12, 1840), (14, 3616)):
-        doc = docmod.parse(json.dumps({
-            "group": {"components": [], "torus_rank": 8},
-            "parabolic": [],
-            "lattice_rank": 8,
-            "colour_points": {},
-            "cones": [{"rays": [[t ** i for i in range(8)] for t in range(n)],
-                       "colours": []}],
-        }))
+        doc = docmod.parse(json.dumps(_cyclic_doc(8, n)))
         rep = cli.run(doc, "classify")
         assert len(rep["cones"]) == n_cones
         assert sum(c["simplicial"] for c in rep["cones"]) == n_cones - 1
         assert rep["verdict"] == {"q_factorial": False, "factorial": False,
                                   "smooth": False, "quotient_singularities": False,
                                   "toroidal": True}
+
+
+def _cyclic_doc(rank, n):
+    # one cone with rays (1, t, ..., t^(rank-1)) for t = 0..n-1
+    return {"group": {"components": [], "torus_rank": rank}, "parabolic": [],
+            "lattice_rank": rank, "colour_points": {},
+            "cones": [{"rays": [[t ** i for i in range(rank)] for t in range(n)],
+                       "colours": []}]}
+
+
+def test_cyclic_8_12_machine_bytes(tmp_path, capsys):
+    # 1,840 faces and 1.5 MB; each ray recurs in hundreds of face entries,
+    # which the encoder writes from one encoding per indent
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(_cyclic_doc(8, 12)))
+    code, out, err = run_cli(capsys, "classify", path, "--format", "machine")
+    assert code == cli.EXIT_OK, err
+    assert len(out) == 1522591
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "08e7c2265afa46cfc4873b61643105a6b6e7ee208d5456f6730d32461aed31ac")
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_cox_writes_an_invariant_past_the_int_string_limit(tmp_path, capsys, fmt):
+    # each entry has 2,201 digits, which parse accepts; the class group is
+    # Z/(10^4400 - 1), whose 4,400 digits pass Python's int-string limit
+    big = 10 ** 2200
+    doc = _torus_doc(2)
+    doc["cones"] = [{"rays": [[big, 1], [1, big]], "colours": []}]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "cox", path, "--format", fmt)
+    assert code == cli.EXIT_OK, err
+    assert sys.get_int_max_str_digits() == limit  # restored for the caller
+    nines = "9" * 4400
+    if fmt == "machine":
+        assert '"torsion": [\n      ' + nines + "\n    ]" in out
+    else:
+        assert f"class group: Z/{nines}\n" in out
+    for command in ("classify", "split"):
+        assert run_cli(capsys, command, path, "--format", fmt)[0] == cli.EXIT_OK
 
 
 def _torus_doc(rank):

@@ -11,7 +11,7 @@ from horofan import lattice
 from horofan.errors import DimensionMismatch, NotStronglyConvex, ZeroVector
 from horofan.lattice import rank_of
 
-from oracles import (extreme_rays_oracle, faces3d_oracle, is_face_of,
+from oracles import (extreme_rays_oracle, faces3d_oracle, faces_oracle, is_face_of,
                      member_oracle, relint_oracle)
 
 
@@ -160,6 +160,32 @@ def test_faces_match_oracle():
             continue
         got = {frozenset(f.rays) for f in pc.faces(c)}
         assert got == faces3d_oracle(gens)
+
+
+def test_faces_match_the_hyperplane_oracle_in_any_rank():
+    # seeded pointed cones of dim d in a random subspace of Z^k, k <= 6, on
+    # up to 10 generators, random or on the moment curve: each face is
+    # listed once, with its dim, and its derived normals and equations act
+    # as the rebuilt cone's
+    rng = random.Random(53)
+    for k, d in ((6, 6), (6, 5), (6, 3), (5, 5), (5, 2), (4, 4), (4, 3),
+                 (3, 3), (3, 1), (2, 2)):
+        while rank_of(B := [tuple(rng.randint(-2, 2) for _ in range(k))
+                            for _ in range(d)]) < d:
+            pass
+        count = rng.randint(d, 10)
+        for coords in (_random_pointed_gens(rng, d, count),
+                       [(1,) + tuple(t ** i for i in range(1, d)) for t in range(count)]):
+            gens = [lattice.vec_mat(x, B) for x in coords]
+            c = pc.cone_from_generators(gens, k)
+            listed = [(frozenset(f.rays), f.dim) for f in pc.faces(c)]
+            assert len(listed) == len(set(listed))
+            assert set(listed) == faces_oracle(gens), (k, d, gens)
+            points = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(8)]
+            points += [lattice.vec_mat(x, B)  # in the span, mostly in c
+                       for x in _random_pointed_gens(rng, d, 6)]
+            for f in pc.faces(c):
+                _assert_matches_rebuilt(f, points)
 
 
 def test_extreme_rays_match_oracle():

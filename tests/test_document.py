@@ -1,6 +1,8 @@
 import json
 import pathlib
 import time
+from collections import OrderedDict, namedtuple
+from enum import IntEnum
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -218,6 +220,42 @@ _REPORTS = st.recursive(
           "": {"b": 0, "a": [1]}})
 def test_canonical_json_matches_json_dumps(report):
     assert doc.canonical_json(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+class _Rank(IntEnum):
+    TWO = 2
+
+
+class _Name(str):
+    pass
+
+
+_Pair = namedtuple("_Pair", "rays colours")
+
+
+def test_canonical_json_encodes_subclasses_as_json_dumps_does():
+    value = OrderedDict([
+        ("z", _Rank.TWO),
+        (_Name("a\u2028"), [_Name("x"), _Pair([(1, -2), [3, 4]], [_Rank.TWO, True]),
+                            [_Rank.TWO, 1], (_Rank.TWO,)]),
+        ("m", OrderedDict([("b", None), ("a", _Pair(3, _Name("")))])),
+    ])
+    assert doc.canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_canonical_json_int_vector_at_several_depths():
+    # each list of ints is encoded once per indent; the same ints recur
+    v = [3, -1, 2**70, 0]
+    value = {"a": v, "b": [v, tuple(v), [[v, tuple(v)]]],
+             "c": {"d": tuple(v), "e": [tuple(v), v, [3, -1]]}, "f": [v]}
+    assert doc.canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_canonical_json_bools_are_no_int_vector():
+    # True == 1 and hash(True) == hash(1), yet [True, 1, 0] is no list of ints
+    for value in ([True, 1, 0], [[1, 1, 0], [True, 1, 0], (1, True, False), (1, 1, 0)],
+                  {"a": [1, 0], "b": [True, False], "c": [[False, 0], [0, 0]]}):
+        assert doc.canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def test_canonical_json_refuses_floats_and_non_str_keys():

@@ -10,7 +10,8 @@ from horofan.document import MAX_COMPONENT_RANK
 from horofan.errors import (BadParabolic, UnknownColour, UnknownDiagram,
                             UnknownNode, ValidationError)
 
-from oracles import (BadEdge, _assemble, component_labels, components,
+from oracles import (BOURBAKI_PLATES, CARTAN_DETERMINANTS, BadEdge, _assemble,
+                     cartan_matrix, component_labels, components, determinant,
                      example_A_rule, numbering_oracle, recognize_type,
                      template_matches, validate_diagram)
 
@@ -298,6 +299,44 @@ def test_standard_diagram_matches_assemble_at_every_rank():
             assert all(e.a < e.b for e in d.edges)
             compared += 1
     assert compared == 64 + 63 + 63 + 61 + 3 + 1 + 1
+
+
+def _plate(nodes, edges):
+    """A standard component's edges as (i, j, multiplicity, long root) on
+    the node numbers, i < j."""
+    number = {name: i for i, name in enumerate(nodes, 1)}
+    return sorted((*sorted((number[e.a], number[e.b])), e.multiplicity,
+                   number.get(e.long)) for e in edges)
+
+
+def test_standard_components_are_the_bourbaki_plates():
+    for f in dk.FAMILIES:
+        for r in range(1, MAX_COMPONENT_RANK + 1):
+            plate = BOURBAKI_PLATES[f](r)
+            if plate is None:
+                with pytest.raises(UnknownDiagram):
+                    dk.standard_component(f, r, "X")
+                continue
+            nodes, edges = dk.standard_component(f, r, "X")
+            assert nodes == [f"X.{i}" for i in range(1, r + 1)]
+            assert _plate(nodes, edges) == sorted(plate), (f, r)
+
+
+def test_cartan_determinants():
+    # read off the library's components; the determinant cannot tell B_n
+    # from C_n, which the plates do
+    for f in dk.FAMILIES:
+        for r in range(1, MAX_COMPONENT_RANK + 1):
+            if BOURBAKI_PLATES[f](r) is None:
+                continue
+            nodes, edges = dk.standard_component(f, r, "X")
+            det = determinant(cartan_matrix(r, _plate(nodes, edges)))
+            assert det == CARTAN_DETERMINANTS[f](r), (f, r)
+
+
+def test_standard_diagram_default_torus_rank_is_zero():
+    assert dk.standard_diagram([("A", 2, "A2")]).torus_rank == 0
+    assert dk.standard_diagram([]).torus_rank == 0
 
 
 def _recognized_verdict(d, F, alpha):
