@@ -134,6 +134,19 @@ def _text_flags(entry: dict) -> str:
     return ", ".join(marks) if marks else "none"
 
 
+def _any_int(render):
+    """render, with the int-string limit (CPython 3.10.7 on) lifted."""
+    def written(report: dict) -> str:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return render(report)
+        finally:
+            sys.set_int_max_str_digits(limit)
+    return written if hasattr(sys, "get_int_max_str_digits") else render
+
+
+@_any_int
 def render_text(report: dict) -> str:
     lines = []
     cmd = report["command"]
@@ -180,6 +193,7 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_any_int
 def render_machine(report: dict) -> str:
     return docmod.canonical_json(report) + "\n"
 
@@ -239,11 +253,6 @@ def main(argv=None) -> int:
 
     keep = [c for c in args.keep.split(",") if c] if args.command == "decolour" \
         else None
-    # parse held the input to the int-string limit (CPython 3.10.7 on), which
-    # a result may pass; 0 is no limit
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit:
-        sys.set_int_max_str_digits(0)
     try:
         report = run(doc, args.command,
                      cone_index=getattr(args, "cone", None), keep=keep)
@@ -252,9 +261,6 @@ def main(argv=None) -> int:
         return fail(exc, EXIT_PRECONDITION)
     except ValidationError as exc:
         return fail(exc, EXIT_VALIDATION)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
     sys.stdout.write(out)
     return EXIT_OK
 

@@ -91,16 +91,14 @@ def cone_from_generators(gens, ambient_rank: int) -> Cone:
             raise ZeroVector("zero vector among the cone generators")
         frozen.append(g)
     prims = tuple(sorted({primitive(g) for g in frozen}))
-    if not prims:
-        return zero_cone(ambient_rank)
 
     # the facet normals are the extreme rays of the dual cone, each with the
     # generators it vanishes on, and its lineality is the span's orthogonal
-    # complement; the cone holds a line iff there is no normal (the cone is
-    # the whole span) or some generator lies on all of them
+    # complement, R^k with no generators (the zero cone); the cone holds a
+    # line iff some generator lies on every normal, all when there is none
     normals, lin = extreme_rays(prims, ambient_rank)
     full = (1 << len(prims)) - 1
-    if not normals or reduce(and_, normals.values(), full):
+    if reduce(and_, normals.values(), full):
         raise NotStronglyConvex("the generators span a cone containing a line")
 
     # a generator is extreme iff the facets it lies on cut out its own ray
@@ -130,23 +128,18 @@ def faces(c: Cone) -> tuple[Cone, ...]:
     """Every face of c, including the zero cone and c itself.
 
     Every face is an intersection of facets, so the faces' ray sets, as
-    bitmasks over c.rays, are the closure of the facets' masks under `&` (c
-    itself is the empty intersection).  The proper faces of a face s are
-    the sets s & m, so its facets are those of them of the largest
-    dimension; the face keeps one parent normal for each, and adds those of
-    the facets containing it to the parent's equations.  Sorted by
-    (dim, rays).
+    bitmasks over c.rays, are the closure of the facets' masks under `&`,
+    taken one facet at a time from c itself (the empty intersection).  The
+    proper faces of a face s are the sets s & m, so its facets are those of
+    them of the largest dimension; the face keeps one parent normal for
+    each, and adds those of the facets containing it to the parent's
+    equations.  Sorted by (dim, rays).
     """
     facets = {sum(1 << i for i, r in enumerate(c.rays) if not sum(map(mul, n, r))): n
               for n in c.facet_normals}
-    full = (1 << len(c.rays)) - 1
-    seen = {full}
-    todo = [full]
-    while todo:
-        sel = todo.pop()
-        new = {sel & m for m in facets} - seen
-        seen |= new
-        todo += new
+    seen = {(1 << len(c.rays)) - 1}
+    for m in facets:  # seen: the ANDs of every subset of the facets so far
+        seen |= {s & m for s in seen}
     dims: dict[int, int] = {}
     out = []
     for sel in sorted(seen, key=int.bit_count):  # subfaces first

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import random
+import runpy
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from horofan import document as docmod
 from horofan import sampling as S
 
 GOLDENS = pathlib.Path(__file__).parent.parent / "goldens"
+SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
 SPLIT_DIGEST = "78ae4bb0fbe72bcbc892ec1311ade3366625f3dd508671d363d8e4e334b66780"
 
 
@@ -235,23 +237,11 @@ def test_missing_file(capsys, path, fmt):
         assert err.startswith("error[ParseError]: cannot read the file: [Errno")
 
 
-_NEW_MODULES = """
-import sys
-before = set(sys.modules)
-import horofan.cli
-print(" ".join(sorted(set(sys.modules) - before)))
-"""
-
-
 def test_cli_import_does_not_load_dataclasses_inspect_or_ast():
     # a command's cold start pays for every module `import horofan.cli`
     # loads; these three and the classes built with them were about a
     # fifth of it
-    src = str(pathlib.Path(cli.__file__).parents[1])
-    done = subprocess.run([sys.executable, "-c", _NEW_MODULES],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, check=True)
-    new = set(done.stdout.split())
+    new = set(runpy.run_path(str(SCRIPTS / "work_counts.py"))["cli_modules"]())
     assert "horofan.cli" in new
     assert not new & {"dataclasses", "inspect", "ast"}
 
@@ -264,17 +254,13 @@ def test_text_format(capsys):
 
 
 # (document, command line) of every golden whose machine output is frozen in
-# bench/data/golden_out/<document>.<verb>.out
+# bench/data/golden_out/<document>.<verb>.out, as scripts/run_goldens.py
+# lists them
 GOLDEN_COMMANDS = [
-    ("a3_colour_line", ["classify"]), ("a3_colour_line", ["cox"]),
-    ("a3_colour_line", ["local", "--cone", "1"]),
-    ("a3_colour_line", ["decolour", "--keep", ""]),
-    ("p2", ["classify"]), ("p2", ["cox"]),
-    ("quadric_cone", ["classify"]), ("quadric_cone", ["cox"]),
-    ("p112", ["classify"]), ("p112", ["cox"]),
-    ("ray_with_torus_factor", ["classify"]),
-    ("ray_with_torus_factor", ["split"]),
-]
+    (name.removesuffix(".json"), command.split(" "))
+    for name, commands in runpy.run_path(
+        str(SCRIPTS / "run_goldens.py"))["COMMANDS"].items()
+    for command in commands]
 FROZEN = pathlib.Path(__file__).parent.parent / "bench" / "data" / "golden_out"
 
 
@@ -385,13 +371,8 @@ def test_cyclic_8_12_machine_bytes(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "machine"])
 def test_cox_writes_an_invariant_past_the_int_string_limit(tmp_path, capsys, fmt):
-    # each entry has 2,201 digits, which parse accepts; the class group is
-    # Z/(10^4400 - 1), whose 4,400 digits pass Python's int-string limit
-    big = 10 ** 2200
-    doc = _torus_doc(2)
-    doc["cones"] = [{"rays": [[big, 1], [1, big]], "colours": []}]
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(_big_rays_doc())
     limit = sys.get_int_max_str_digits()
     code, out, err = run_cli(capsys, "cox", path, "--format", fmt)
     assert code == cli.EXIT_OK, err
@@ -403,6 +384,26 @@ def test_cox_writes_an_invariant_past_the_int_string_limit(tmp_path, capsys, fmt
         assert f"class group: Z/{nines}\n" in out
     for command in ("classify", "split"):
         assert run_cli(capsys, command, path, "--format", fmt)[0] == cli.EXIT_OK
+
+
+def test_renderers_write_an_invariant_past_the_int_string_limit():
+    # a library caller, such as the benchmark's worker, renders a report
+    # without lifting the limit itself
+    report = cli.run(docmod.parse(_big_rays_doc()), "cox")
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * 4400
+    assert '"torsion": [\n      ' + nines + "\n    ]" in cli.render_machine(report)
+    assert f"class group: Z/{nines}\n" in cli.render_text(report)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def _big_rays_doc():
+    # each entry has 2,201 digits, which parse accepts; the class group is
+    # Z/(10^4400 - 1), whose 4,400 digits pass Python's int-string limit
+    big = 10 ** 2200
+    doc = _torus_doc(2)
+    doc["cones"] = [{"rays": [[big, 1], [1, big]], "colours": []}]
+    return json.dumps(doc)
 
 
 def _torus_doc(rank):

@@ -33,6 +33,8 @@ def test_line_rejected():
         pc.cone_from_generators([(1, 0), (-1, 0)], 2)
     with pytest.raises(NotStronglyConvex):
         pc.cone_from_generators([(1, 0), (-1, 0), (0, 1)], 2)
+    with pytest.raises(NotStronglyConvex):  # the whole plane: no normal at all
+        pc.cone_from_generators([(1, 0), (0, 1), (-1, -1)], 2)
 
 
 def test_zero_generator_rejected():
@@ -117,11 +119,13 @@ def _assert_span_equations(c):
 def test_round_trip():
     for gens, n in (([(1, 0), (0, 1)], 2), ([(1, 2, 0), (0, 1, 1), (2, 1, 1)], 3),
                     ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3), ([], 2),
+                    ([], 0), ([], 4),
                     # a square cone in a 3-dimensional sub-span of Z^5
                     ([(1, 1, 1, 2, 0), (-1, 1, 1, 0, 0), (-1, -1, 1, 0, -2),
                       (1, -1, 1, 2, -2)], 5)):
         c = pc.cone_from_generators(gens, n)
         assert c.dim == rank_of(c.rays) and (c == pc.zero_cone(n)) == (not gens)
+        assert gens or c.equations == lattice.identity(n)
         assert pc.cone_from_generators(c.rays, c.ambient_rank) == c
         assert pc.cone_from_generators(c.rays, c.ambient_rank).facet_normals \
             == c.facet_normals
@@ -162,12 +166,12 @@ def test_faces_match_oracle():
         assert got == faces3d_oracle(gens)
 
 
-def test_faces_match_the_hyperplane_oracle_in_any_rank():
-    # seeded pointed cones of dim d in a random subspace of Z^k, k <= 6, on
-    # up to 10 generators, random or on the moment curve: each face is
-    # listed once, with its dim, and its derived normals and equations act
-    # as the rebuilt cone's
+def _subspace_cases():
+    """(k, gens, points): seeded pointed cones of dim d in a random subspace
+    of Z^k, k <= 6, on up to 10 generators, random or on the moment curve,
+    each with 8 points of Z^k and 6 of the span, mostly in the cone."""
     rng = random.Random(53)
+    cases = []
     for k, d in ((6, 6), (6, 5), (6, 3), (5, 5), (5, 2), (4, 4), (4, 3),
                  (3, 3), (3, 1), (2, 2)):
         while rank_of(B := [tuple(rng.randint(-2, 2) for _ in range(k))
@@ -176,16 +180,38 @@ def test_faces_match_the_hyperplane_oracle_in_any_rank():
         count = rng.randint(d, 10)
         for coords in (_random_pointed_gens(rng, d, count),
                        [(1,) + tuple(t ** i for i in range(1, d)) for t in range(count)]):
-            gens = [lattice.vec_mat(x, B) for x in coords]
-            c = pc.cone_from_generators(gens, k)
-            listed = [(frozenset(f.rays), f.dim) for f in pc.faces(c)]
-            assert len(listed) == len(set(listed))
-            assert set(listed) == faces_oracle(gens), (k, d, gens)
             points = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(8)]
-            points += [lattice.vec_mat(x, B)  # in the span, mostly in c
-                       for x in _random_pointed_gens(rng, d, 6)]
-            for f in pc.faces(c):
-                _assert_matches_rebuilt(f, points)
+            points += [lattice.vec_mat(x, B) for x in _random_pointed_gens(rng, d, 6)]
+            cases.append((k, [lattice.vec_mat(x, B) for x in coords], points))
+    return cases
+
+
+def test_faces_match_the_hyperplane_oracle_in_any_rank():
+    # each face is listed once, with its dim, and its derived normals and
+    # equations act as the rebuilt cone's
+    for k, gens, points in _subspace_cases():
+        c = pc.cone_from_generators(gens, k)
+        listed = [(frozenset(f.rays), f.dim) for f in pc.faces(c)]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == faces_oracle(gens), (k, gens)
+        for f in pc.faces(c):
+            _assert_matches_rebuilt(f, points)
+
+
+def test_faces_do_not_depend_on_facet_order():
+    # every face is an intersection of facets, met in whatever order; the
+    # cache keys a cone by its rays, so the uncached function is compared
+    rng = random.Random(59)
+    cyclic = [([[t ** i for i in range(r)] for t in range(n)], r)
+              for r, n in ((6, 10), (8, 12))]
+    for gens, k in cyclic + [(gens, k) for k, gens, _ in _subspace_cases()]:
+        c = pc.cone_from_generators(gens, k)
+        normals = list(c.facet_normals)
+        rng.shuffle(normals)
+        shuffled = pc.Cone(k, c.rays, tuple(normals), c.dim, c.equations)
+        assert [(f.dim, f.rays, len(f.facet_normals))
+                for f in pc.faces.__wrapped__(shuffled)] == [
+            (f.dim, f.rays, len(f.facet_normals)) for f in pc.faces.__wrapped__(c)]
 
 
 def test_extreme_rays_match_oracle():
